@@ -7,7 +7,7 @@
 //! |-------|----------|---------|
 //! | AU000 | note     | summary of findings waived via `// bsim: allow(..)` |
 //! | AU001 | error    | `.unwrap()` outside tests: a panic tears the simulation down instead of surfacing a typed error |
-//! | AU002 | warning  | `.expect(..)` in a designated hot-path file (token channel, wire framing, daemon dispatch) |
+//! | AU002 | warning  | `.expect(..)` in a designated hot-path file (wire framing, daemon dispatch, lane replay) |
 //! | AU003 | warning  | iteration over a `HashMap` binding: order is nondeterministic and must not feed results or wire frames |
 //! | AU004 | warning  | `Instant`/`SystemTime` in a virtual-time crate: host clocks break determinism |
 //!
@@ -38,24 +38,19 @@ const HASHMAP_NEW: &str = concat!("Hash", "Map::new");
 const ALLOW: &str = concat!("bsim: ", "allow(");
 const CFG_TEST: &str = concat!("#[cfg(", "test)]");
 
-/// Files whose failure modes reach the per-token or per-frame path: a panic
-/// here kills a quantum mid-flight, so even `.expect` needs a waiver arguing
-/// the invariant.
+/// Files whose failure modes reach the per-frame or per-request path: a
+/// panic here kills a connection or a replay mid-flight, so even `.expect`
+/// needs a waiver arguing the invariant.
 const HOT_PATHS: &[&str] = &[
-    "crates/engine/src/channel.rs",
-    "crates/engine/src/harness.rs",
     "crates/dist/src/frame.rs",
-    "crates/dist/src/link.rs",
-    "crates/dist/src/graph.rs",
     "crates/svc/src/proto.rs",
     "crates/svc/src/daemon.rs",
     "crates/sweepx/src/replay.rs",
 ];
 
 /// Crates whose code runs under virtual time; host clocks are banned there
-/// (the resilience watchdog in `engine` carries explicit waivers).
+/// (the host-rate meter in `core` carries an explicit waiver).
 const VIRTUAL_TIME_CRATES: &[&str] = &[
-    "engine",
     "mem",
     "uarch",
     "isa",
@@ -272,7 +267,9 @@ pub fn scan_source(path: &str, text: &str, report: &mut Report, waived: &mut usi
                     span.clone(),
                     "host clock in a virtual-time crate: time must derive from cycles".to_string(),
                 )
-                .with_help("use the harness cycle counter, or waive for host-side watchdog code"),
+                .with_help(
+                    "derive time from the simulated cycle counter, or waive for host-side meters",
+                ),
                 "AU004",
                 report,
             );
@@ -465,7 +462,7 @@ mod tests {
     #[test]
     fn host_clocks_flag_only_virtual_time_crates() {
         let text = format!("fn f() {{ let t = {INSTANT}(); }}\n");
-        let (r, _) = scan("crates/engine/src/x.rs", &text);
+        let (r, _) = scan("crates/core/src/x.rs", &text);
         assert!(r.has_code("AU004"), "{}", r.render());
         let (r, _) = scan("crates/svc/src/x.rs", &text);
         assert!(r.is_clean(), "{}", r.render());

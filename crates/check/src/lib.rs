@@ -1,17 +1,12 @@
 //! # bsim-check — static analysis before the first simulated cycle
 //!
 //! The paper's contribution is *trusting a simulator's numbers*, and a
-//! FireSim-style token simulation only earns that trust if (a) the model
-//! graph is well-formed — every channel decoupled, reset tokens present,
-//! capacities sized for the quantum — and (b) the target configs
-//! actually describe the silicon being modeled (§3.2's BPI-F3/Pioneer
-//! tables). FireSim enforces (a) at target *elaboration*, before any
-//! FPGA cycle runs; this crate is the software analogue, run before any
+//! simulator only earns that trust if its target configs actually
+//! describe the silicon being modeled (§3.2's BPI-F3/Pioneer tables).
+//! FireSim rejects a malformed target at *elaboration*, before any FPGA
+//! cycle runs; this crate is the software analogue, run before any
 //! simulated cycle:
 //!
-//! * [`graph`] — lifts the engine's wire list into a [`graph::GraphSpec`]
-//!   and proves deadlock-freedom, wiring completeness, and capacity
-//!   sufficiency (`MG0xx` codes),
 //! * [`lint`] + [`rules`] — a [`lint::Lint`] trait with registries of
 //!   domain rules over the cache/bus/DRAM/TLB/core config structs
 //!   (`CL0xx` codes),
@@ -21,9 +16,6 @@
 //!   launcher/worker wire protocols, driven by the runtime through
 //!   [`proto::Tracker`] and exhaustively model-checked by
 //!   [`proto::explore`] (`PV0xx` codes),
-//! * [`dd`] — rank-level deadlock analysis of partitioned plans: token
-//!   cycles, missing back-pressure, fast-forward licensing holes
-//!   (`DD0xx` codes),
 //! * [`audit`] — a workspace source audit banning panicking calls,
 //!   `HashMap` iteration, and host clocks from deterministic paths
 //!   (`AU0xx` codes, `// bsim: allow(..)` waivers),
@@ -42,14 +34,11 @@
 //! Every diagnostic code is documented in `crates/check/README.md`.
 
 pub mod audit;
-pub mod dd;
 pub mod diag;
-pub mod graph;
 pub mod guard;
 pub mod lint;
 pub mod proto;
 pub mod rules;
 
 pub use diag::{Diagnostic, Report, Severity};
-pub use graph::{analyze, GraphSpec, ModelSpec, WireSpec};
 pub use lint::{Lint, LintRegistry, Rule};

@@ -339,254 +339,6 @@ pub fn ooo_lints() -> LintRegistry<OooConfig> {
         )
 }
 
-/// A harness run's host-schedule parameters, as seen by the engine
-/// lints: the token-exchange `quantum`, the smallest wire latency in
-/// the graph (the tightest channel window), how many models publish a
-/// `next_activity` quiescence hint, and whether fast-forward is on.
-/// Built by `bsim-engine`'s `Harness::lint_schedule`.
-#[derive(Clone, Debug)]
-pub struct ScheduleSpec {
-    /// Token-exchange batch size per lock acquisition.
-    pub quantum: usize,
-    /// Smallest wire latency in the model graph, in cycles.
-    pub min_latency: u64,
-    /// Models whose `next_activity()` returns a hint.
-    pub hinted_models: usize,
-    /// Whether the harness will use quiescence fast-forward.
-    pub fast_forward: bool,
-}
-
-/// `CL070`–`CL071`: engine host-schedule tuning.
-pub fn engine_lints() -> LintRegistry<ScheduleSpec> {
-    LintRegistry::new()
-        .rule(
-            "CL070",
-            "quantum exceeds the tightest channel window",
-            |s: &ScheduleSpec, span, out| {
-                if s.quantum as u64 > s.min_latency && s.min_latency > 0 {
-                    out.push(
-                        Diagnostic::warning(
-                            "CL070",
-                            span,
-                            format!(
-                                "quantum = {} exceeds the smallest channel latency ({}): \
-                                 channels must be auto-resized to latency + quantum to hold a batch",
-                                s.quantum, s.min_latency
-                            ),
-                        )
-                        .with_help(
-                            "a producer can only run `latency` cycles ahead of its consumer, so \
-                             batches beyond the smallest latency are latency-bound; the extra \
-                             quantum only grows channel buffers",
-                        ),
-                    );
-                }
-            },
-        )
-        .rule(
-            "CL071",
-            "quiescence hints present but fast-forward disabled",
-            |s, span, out| {
-                if s.hinted_models > 0 && !s.fast_forward {
-                    out.push(
-                        Diagnostic::warning(
-                            "CL071",
-                            span,
-                            format!(
-                                "{} model(s) publish next_activity() hints but fast-forward is off",
-                                s.hinted_models
-                            ),
-                        )
-                        .with_help(
-                            "results are bit-identical either way; enable fast-forward with \
-                             Harness::set_fast_forward(true) to skip quiescent ticks",
-                        ),
-                    );
-                }
-            },
-        )
-}
-
-/// A distributed partition plan, as seen by the `DL`-series lints: how
-/// many worker ranks the graph splits across, the model → rank
-/// assignment, and each wire as `(from_model, to_model, latency)`.
-/// Built by `bsim-dist`'s partition planner before any process spawns.
-#[derive(Clone, Debug)]
-pub struct PartitionSpec {
-    /// Worker ranks (OS processes) the plan targets.
-    pub ranks: usize,
-    /// Rank owning each model, indexed by model id.
-    pub assignment: Vec<usize>,
-    /// Every wire in the graph: `(from_model, to_model, latency)`.
-    pub wires: Vec<(usize, usize, u64)>,
-    /// Token-exchange quantum the remote links batch at.
-    pub quantum: usize,
-}
-
-impl PartitionSpec {
-    /// Wires whose endpoints land on different ranks — the ones that
-    /// become socket token links.
-    pub fn cut_wires(&self) -> impl Iterator<Item = &(usize, usize, u64)> {
-        self.wires.iter().filter(|(f, t, _)| {
-            match (self.assignment.get(*f), self.assignment.get(*t)) {
-                (Some(a), Some(b)) => a != b,
-                _ => false, // dangling endpoints are DL004's problem
-            }
-        })
-    }
-}
-
-/// `DL001`–`DL006`: distributed partition-plan lints. Errors here mean
-/// the plan cannot run (dangling ranks or models, rendezvous that can
-/// never complete); warnings flag plans that run but serialize a socket
-/// link.
-pub fn partition_lints() -> LintRegistry<PartitionSpec> {
-    LintRegistry::new()
-        .rule(
-            "DL001",
-            "model assigned to a rank outside the plan",
-            |p: &PartitionSpec, span, out| {
-                for (model, &rank) in p.assignment.iter().enumerate() {
-                    if rank >= p.ranks {
-                        out.push(Diagnostic::error(
-                            "DL001",
-                            span,
-                            format!("model {model} assigned to rank {rank}, plan has {} rank(s)", p.ranks),
-                        ));
-                    }
-                }
-            },
-        )
-        .rule(
-            "DL002",
-            "degenerate plan shape",
-            |p, span, out| {
-                if p.ranks == 0 {
-                    out.push(Diagnostic::error("DL002", span, "plan has zero ranks"));
-                }
-                if p.assignment.is_empty() {
-                    out.push(Diagnostic::error("DL002", span, "plan assigns no models"));
-                }
-            },
-        )
-        .rule(
-            "DL003",
-            "rank owns no models",
-            |p, span, out| {
-                for rank in 0..p.ranks {
-                    if !p.assignment.contains(&rank) {
-                        out.push(
-                            Diagnostic::warning(
-                                "DL003",
-                                span,
-                                format!("rank {rank} owns no models: an idle worker process"),
-                            )
-                            .with_help("shrink --ranks or rebalance the assignment"),
-                        );
-                    }
-                }
-            },
-        )
-        .rule(
-            "DL004",
-            "wire endpoint outside the assignment",
-            |p, span, out| {
-                for &(f, t, _) in &p.wires {
-                    for m in [f, t] {
-                        if m >= p.assignment.len() {
-                            out.push(Diagnostic::error(
-                                "DL004",
-                                span,
-                                format!(
-                                    "wire {f}->{t} references model {m}, assignment covers {}",
-                                    p.assignment.len()
-                                ),
-                            ));
-                        }
-                    }
-                }
-            },
-        )
-        .rule(
-            "DL005",
-            "cut wire tighter than the link quantum",
-            |p, span, out| {
-                for &(f, t, lat) in p.cut_wires() {
-                    if lat < p.quantum as u64 {
-                        out.push(
-                            Diagnostic::warning(
-                                "DL005",
-                                span,
-                                format!(
-                                    "cut wire {f}->{t} has latency {lat} below the link quantum {}: \
-                                     the socket link can never carry a full batch",
-                                    p.quantum
-                                ),
-                            )
-                            .with_help(
-                                "a remote producer can only run `latency` cycles ahead; \
-                                 partition along high-latency wires or lower the quantum",
-                            ),
-                        );
-                    }
-                }
-            },
-        )
-        .rule(
-            "DL006",
-            "plan hangs at rendezvous: empty rank or dangling relay wire",
-            |p, span, out| {
-                // An empty rank still gets a worker slot in the launcher's
-                // rendezvous: the switchboard waits for its Hello and link
-                // connections forever. DL003 used to wave this through as
-                // "an idle worker"; in graph mode it is a hang, not waste.
-                for rank in 0..p.ranks {
-                    if !p.assignment.is_empty() && !p.assignment.contains(&rank) {
-                        out.push(
-                            Diagnostic::error(
-                                "DL006",
-                                span,
-                                format!(
-                                    "rank {rank} owns no models: the rendezvous waits for link \
-                                     connections that never come"
-                                ),
-                            )
-                            .with_help("shrink the rank count or rebalance the assignment"),
-                        );
-                    }
-                }
-                // A relay created for a wire whose endpoint rank is outside
-                // the plan dangles: the owning worker is never spawned.
-                for &(f, t, _) in &p.wires {
-                    let (a, b) = match (p.assignment.get(f), p.assignment.get(t)) {
-                        (Some(&a), Some(&b)) => (a, b),
-                        _ => continue, // DL004's problem
-                    };
-                    if a == b {
-                        continue;
-                    }
-                    for rank in [a, b] {
-                        if rank >= p.ranks {
-                            out.push(
-                                Diagnostic::error(
-                                    "DL006",
-                                    span,
-                                    format!(
-                                        "relay for cut wire {f}->{t} dangles: endpoint rank \
-                                         {rank} is outside the {}-rank plan and its worker is \
-                                         never spawned",
-                                        p.ranks
-                                    ),
-                                )
-                                .with_help("fix the assignment before the switchboard is built"),
-                            );
-                        }
-                    }
-                }
-            },
-        )
-}
-
 /// Estimated DRAM access latency in core cycles — the CAS + RCD + controller
 /// path, the comparison point for `CL041` monotonicity.
 fn dram_latency_cycles(d: &DramConfig, core_freq_ghz: f64) -> u64 {
@@ -790,59 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_rules() {
-        // A healthy 2-rank split of a 4-model ring along latency-16
-        // wires is clean.
-        let good = PartitionSpec {
-            ranks: 2,
-            assignment: vec![0, 0, 1, 1],
-            wires: vec![(0, 1, 1), (1, 2, 16), (2, 3, 1), (3, 0, 16)],
-            quantum: 16,
-        };
-        assert!(partition_lints().run(&good, "t").is_clean());
-        assert_eq!(good.cut_wires().count(), 2);
-
-        let mut p = good.clone();
-        p.assignment[3] = 7;
-        assert!(partition_lints().run(&p, "t").has_code("DL001"));
-
-        let empty = PartitionSpec {
-            ranks: 0,
-            assignment: vec![],
-            wires: vec![],
-            quantum: 16,
-        };
-        let r = partition_lints().run(&empty, "t");
-        assert_eq!(r.with_code("DL002").count(), 2, "{}", r.render());
-
-        // An empty rank used to be merely DL003 (idle worker); in graph
-        // mode the rendezvous waits for it forever, so DL006 rejects it.
-        let mut p = good.clone();
-        p.ranks = 3;
-        let r = partition_lints().run(&p, "t");
-        assert!(r.has_code("DL003"), "{}", r.render());
-        assert!(r.has_code("DL006") && r.has_errors(), "{}", r.render());
-
-        // A cut wire pointing at an out-of-plan rank dangles its relay.
-        let mut p = good.clone();
-        p.assignment = vec![0, 0, 1, 2];
-        p.ranks = 2;
-        let r = partition_lints().run(&p, "t");
-        assert!(r.has_code("DL006"), "{}", r.render());
-
-        let mut p = good.clone();
-        p.wires.push((0, 9, 4));
-        assert!(partition_lints().run(&p, "t").has_code("DL004"));
-
-        // A cut wire with latency 1 under a quantum of 16 serializes
-        // the socket link: warned, not fatal.
-        let mut p = good.clone();
-        p.wires[1].2 = 1;
-        let r = partition_lints().run(&p, "t");
-        assert!(r.has_code("DL005") && !r.has_errors(), "{}", r.render());
-    }
-
-    #[test]
     fn bus_rules() {
         let b = BusConfig {
             width_bits: 96,
@@ -901,37 +600,6 @@ mod tests {
         assert!(lint_ooo(&o, "t").has_code("CL062"));
         o.int_units = 0;
         assert!(lint_ooo(&o, "t").has_code("CL063"));
-    }
-
-    #[test]
-    fn engine_schedule_lints() {
-        let good = ScheduleSpec {
-            quantum: 4,
-            min_latency: 4,
-            hinted_models: 2,
-            fast_forward: true,
-        };
-        assert!(engine_lints().run(&good, "t").is_clean());
-        let oversized = ScheduleSpec {
-            quantum: 64,
-            min_latency: 2,
-            ..good.clone()
-        };
-        let r = engine_lints().run(&oversized, "t");
-        assert!(r.has_code("CL070"), "{}", r.render());
-        assert!(!r.has_errors());
-        let wasted = ScheduleSpec {
-            fast_forward: false,
-            ..good.clone()
-        };
-        let r = engine_lints().run(&wasted, "t");
-        assert!(r.has_code("CL071"), "{}", r.render());
-        let unhinted = ScheduleSpec {
-            hinted_models: 0,
-            fast_forward: false,
-            ..good
-        };
-        assert!(engine_lints().run(&unhinted, "t").is_clean());
     }
 
     #[test]

@@ -3,58 +3,8 @@
 //! pass the full preflight clean. Uses `bsim-soc` as a dev-dependency so
 //! the checks run against the real Table 4/5 catalog, not mocks.
 
-use bsim_check::{analyze, GraphSpec, ModelSpec, WireSpec};
 use bsim_soc::configs;
 use bsim_soc::preflight::preflight;
-
-/// A two-model ring where one direction has latency 0: the combinational
-/// path MG001 exists to reject. (With a latency, the same ring is the
-/// stock ping-pong topology.)
-fn ring(latency_back: u64) -> GraphSpec {
-    let mut fwd = WireSpec::new(0, 0, 1, 0, 1);
-    fwd.capacity = None;
-    let back = WireSpec::new(1, 0, 0, 0, latency_back);
-    GraphSpec {
-        models: vec![ModelSpec::indexed(0, 1, 1), ModelSpec::indexed(1, 1, 1)],
-        wires: vec![fwd, back],
-    }
-}
-
-#[test]
-fn zero_latency_cycle_is_mg001() {
-    let report = analyze(&ring(0), 1);
-    assert!(report.has_code("MG001"), "got:\n{}", report.render());
-    assert!(report.has_errors());
-    // The same ring with latency 1 everywhere is legal.
-    assert!(analyze(&ring(1), 1).is_clean());
-}
-
-#[test]
-fn tokenless_cycle_is_mg002() {
-    let mut spec = ring(1);
-    // Strip the reset tokens from both wires: each model now waits on
-    // the other's first token forever — the classic simulation deadlock.
-    for w in &mut spec.wires {
-        w.reset_tokens = Some(0);
-    }
-    let report = analyze(&spec, 1);
-    assert!(report.has_code("MG002"), "got:\n{}", report.render());
-    assert!(report.has_errors());
-}
-
-#[test]
-fn undersized_channel_capacity_is_mg005() {
-    let mut spec = ring(1);
-    // latency 1 + quantum 4 needs capacity >= 5; 3 deadlocks under a
-    // batched schedule.
-    spec.wires[0].capacity = Some(3);
-    let report = analyze(&spec, 4);
-    assert!(report.has_code("MG005"), "got:\n{}", report.render());
-    assert!(report.has_errors());
-    // An explicit capacity that meets the bound is clean.
-    spec.wires[0].capacity = Some(5);
-    assert!(analyze(&spec, 4).is_clean());
-}
 
 #[test]
 fn non_power_of_two_cache_is_cl001() {

@@ -1,22 +1,20 @@
 //! The built-in fault-injection campaign behind `bsim faults`.
 //!
-//! Nine scenarios, one per entry in the fault taxonomy (DESIGN.md),
-//! each with a *typed expectation*: crash-faults must fail loudly in
-//! their expected shape (watchdog trip, protocol-violation panic, MPI
-//! deadlock teardown), and survivable faults must complete — bit-
-//! identically for pure host-timing perturbations, visibly perturbed
-//! for payload corruption and link degradation. The campaign renders a
-//! survival matrix; `--deny-unsurvived` turns any expectation miss into
-//! a non-zero exit, which is what the CI `faults` job gates on.
+//! Four in-process scenarios, each with a *typed expectation* and each
+//! running a real MPI workload through `MpiWorld`, the path every
+//! multi-rank figure takes: a degraded link must stretch virtual time, a
+//! dead link must saturate timestamps instead of wrapping, a lost rank
+//! must tear the world down loudly, and a zero-latency link must run but
+//! be flagged. The CLI appends the scale-out and service rows. The
+//! campaign renders a survival matrix; `--deny-unsurvived` turns any
+//! expectation miss into a non-zero exit, which is what the CI `faults`
+//! job gates on.
 //!
-//! Determinism: every injection cycle and bit position derives from the
-//! seed, and every expectation is exact — the matrix is reproducible
+//! Determinism: every expectation is exact — the matrix is reproducible
 //! run-to-run, which is the property that makes fault injection usable
 //! as a regression gate rather than a fuzzer.
 
-use bsim_engine::{FaultKind, FaultPlan, Harness, SimError, TickModel, WatchdogConfig, Wire};
 use bsim_mpi::{MpiWorld, NetConfig, RankCtx};
-use bsim_resilience::fault::FaultTarget;
 use bsim_resilience::retry::panic_message;
 use bsim_soc::configs;
 use bsim_telemetry::CounterBlock;
@@ -44,8 +42,6 @@ pub struct SurvivalMatrix {
     pub seed: u64,
     /// One row per scenario.
     pub scenarios: Vec<Scenario>,
-    /// Watchdog trips observed across the campaign.
-    pub watchdog_trips: u64,
 }
 
 impl SurvivalMatrix {
@@ -71,10 +67,9 @@ impl SurvivalMatrix {
             ));
         }
         out.push_str(&format!(
-            "{}/{} scenarios behaved as specified; {} watchdog trip(s)\n",
+            "{}/{} scenarios behaved as specified\n",
             self.scenarios.iter().filter(|s| s.pass).count(),
             self.scenarios.len(),
-            self.watchdog_trips
         ));
         out
     }
@@ -89,62 +84,7 @@ impl SurvivalMatrix {
             "host.resilience.campaign.passed",
             self.scenarios.iter().filter(|s| s.pass).count() as u64,
         );
-        block.set_named("host.resilience.watchdog_trips", self.watchdog_trips);
     }
-}
-
-/// The deterministic ring model the engine-level scenarios run: state
-/// mixes its input token, so any dropped/duplicated/flipped token
-/// changes (or stalls) every downstream state — corruption cannot hide.
-struct Mixer {
-    state: u64,
-    salt: u64,
-}
-
-impl TickModel for Mixer {
-    fn num_inputs(&self) -> usize {
-        1
-    }
-    fn num_outputs(&self) -> usize {
-        1
-    }
-    fn tick(&mut self, cycle: u64, inputs: &[u64], outputs: &mut [u64]) {
-        self.state = self
-            .state
-            .rotate_left(7)
-            .wrapping_add(inputs[0] ^ cycle.wrapping_mul(self.salt));
-        outputs[0] = self.state;
-    }
-}
-
-const RING: usize = 3;
-const CYCLES: u64 = 3_000;
-const QUANTUM: usize = 16;
-
-fn ring(seed: u64) -> (Vec<Mixer>, Vec<Wire>) {
-    let models = (0..RING)
-        .map(|i| Mixer {
-            state: seed.wrapping_mul(i as u64 + 1),
-            salt: 0x9e37_79b9_7f4a_7c15 ^ (i as u64),
-        })
-        .collect();
-    let wires = (0..RING)
-        .map(|i| Wire {
-            from_model: i,
-            from_port: 0,
-            to_model: (i + 1) % RING,
-            to_port: 0,
-            latency: 1,
-        })
-        .collect();
-    (models, wires)
-}
-
-fn run_ring(seed: u64, plan: &FaultPlan, tel: &mut CounterBlock) -> Result<Vec<u64>, SimError> {
-    let (models, wires) = ring(seed);
-    Harness::new(models, wires)
-        .run_guarded(CYCLES, QUANTUM, plan, WatchdogConfig::tight(), tel)
-        .map(|ms| ms.iter().map(|m| m.state).collect())
 }
 
 /// The tiny MPI workload the link-fault scenarios run.
@@ -160,152 +100,12 @@ fn ep_cycles(net: NetConfig) -> u64 {
     r.report.run.cycles
 }
 
-/// Runs the nine-scenario campaign. Wall-clock is dominated by the
-/// deliberate teardowns (the token-drop watchdog budget and the MPI
-/// stall detector, ~1 s total at the `tight` setting).
+/// Runs the in-process scenarios. Wall-clock is dominated by the MPI
+/// stall detector's deliberate rank-loss teardown.
 pub fn run_campaign(seed: u64) -> SurvivalMatrix {
-    let mut tel = CounterBlock::new(true);
-    let mut trips = 0u64;
     let mut rows = Vec::new();
 
-    let baseline =
-        run_ring(seed, &FaultPlan::new(seed), &mut tel).expect("fault-free ring run completes");
-
-    // 1. Token drop: the link is severed from the event cycle on, the
-    //    consumer starves, and the watchdog converts the would-be hang
-    //    into a typed stall within its host-time budget.
-    let drop_cycle = 200 + seed % 64;
-    let plan = FaultPlan::new(seed).inject(FaultTarget::Wire(1), drop_cycle, FaultKind::TokenDrop);
-    rows.push(match run_ring(seed, &plan, &mut tel) {
-        Err(SimError::Stalled(report)) => {
-            trips += 1;
-            Scenario {
-                name: "token-drop",
-                fault: "token_drop",
-                expected: "watchdog trips (SimError::Stalled)",
-                observed: format!(
-                    "stalled as expected; {} thread(s) frozen near cycle {}",
-                    report.threads.len(),
-                    report
-                        .threads
-                        .iter()
-                        .map(|t| t.cycle)
-                        .max()
-                        .unwrap_or_default()
-                ),
-                pass: true,
-            }
-        }
-        other => miss(
-            "token-drop",
-            "token_drop",
-            "watchdog trips (SimError::Stalled)",
-            &other,
-        ),
-    });
-
-    // 2. Token duplicate: re-delivering an already-consumed cycle is a
-    //    protocol violation; the harness fails loudly and typed, never
-    //    silently reorders.
-    let plan = FaultPlan::new(seed).inject(
-        FaultTarget::Wire(0),
-        150 + seed % 32,
-        FaultKind::TokenDuplicate,
-    );
-    rows.push(match run_ring(seed, &plan, &mut tel) {
-        Err(SimError::Panicked { message }) if message.contains("token protocol violation") => {
-            Scenario {
-                name: "token-duplicate",
-                fault: "token_duplicate",
-                expected: "loud protocol-violation failure",
-                observed: format!("panicked as expected: {message}"),
-                pass: true,
-            }
-        }
-        other => miss(
-            "token-duplicate",
-            "token_duplicate",
-            "loud protocol-violation failure",
-            &other,
-        ),
-    });
-
-    // 3. Payload bit-flip: the run survives, but the corruption must be
-    //    visible in the final state — detectable, not masked.
-    let plan = FaultPlan::new(seed).inject(
-        FaultTarget::Wire(2),
-        100 + seed % 16,
-        FaultKind::PayloadBitFlip {
-            bit: (seed % 64) as u32,
-        },
-    );
-    rows.push(match run_ring(seed, &plan, &mut tel) {
-        Ok(states) if states != baseline => Scenario {
-            name: "bit-flip",
-            fault: "payload_bit_flip",
-            expected: "survives; corruption visible",
-            observed: "completed with final state diverged from baseline".into(),
-            pass: true,
-        },
-        Ok(_) => Scenario {
-            name: "bit-flip",
-            fault: "payload_bit_flip",
-            expected: "survives; corruption visible",
-            observed: "completed but corruption was masked".into(),
-            pass: false,
-        },
-        other => miss(
-            "bit-flip",
-            "payload_bit_flip",
-            "survives; corruption visible",
-            &other,
-        ),
-    });
-
-    // 4./5. Host-timing perturbations: a slow model thread and a delayed
-    //    thread start change *when* tokens move in host time, never
-    //    *what* they carry — the decoupling the token protocol exists
-    //    to provide. Bit-identical or the engine is broken.
-    for (name, fault, plan) in [
-        (
-            "model-stall",
-            "model_stall",
-            FaultPlan::new(seed).inject(
-                FaultTarget::Model(1),
-                50,
-                FaultKind::ModelStall { micros: 5_000 },
-            ),
-        ),
-        (
-            "host-delay",
-            "host_thread_delay",
-            FaultPlan::new(seed).inject(
-                FaultTarget::Model(0),
-                0,
-                FaultKind::HostThreadDelay { micros: 10_000 },
-            ),
-        ),
-    ] {
-        rows.push(match run_ring(seed, &plan, &mut tel) {
-            Ok(states) if states == baseline => Scenario {
-                name,
-                fault,
-                expected: "survives bit-identically",
-                observed: "completed; final state identical to baseline".into(),
-                pass: true,
-            },
-            Ok(_) => Scenario {
-                name,
-                fault,
-                expected: "survives bit-identically",
-                observed: "completed but diverged — host timing leaked into target state".into(),
-                pass: false,
-            },
-            other => miss(name, fault, "survives bit-identically", &other),
-        });
-    }
-
-    // 6. Link degrade: the workload survives on a slower link and its
+    // 1. Link degrade: the workload survives on a slower link and its
     //    virtual runtime stretches.
     let base_cycles = ep_cycles(NetConfig::shared_memory());
     let slow_cycles = ep_cycles(NetConfig::shared_memory().degrade(8));
@@ -317,7 +117,7 @@ pub fn run_campaign(seed: u64) -> SurvivalMatrix {
         pass: slow_cycles > base_cycles,
     });
 
-    // 7. Dead link (NC001 territory): bandwidth zero saturates every
+    // 2. Dead link (NC001 territory): bandwidth zero saturates every
     //    transfer to "never delivers" (`u64::MAX`). The safe-failure
     //    contract is that timestamps pin to MAX instead of wrapping —
     //    the run completes with an unmissably absurd cycle count, and
@@ -336,7 +136,7 @@ pub fn run_campaign(seed: u64) -> SurvivalMatrix {
         pass: nc001 && dead_cycles == u64::MAX,
     });
 
-    // 8. Rank loss: a rank waits on a message that is never sent (its
+    // 3. Rank loss: a rank waits on a message that is never sent (its
     //    peer is gone). The MPI runtime's stall detector tears the
     //    world down with a typed "MPI deadlock" panic instead of
     //    hanging the host — the MPI-layer analog of the watchdog.
@@ -373,7 +173,7 @@ pub fn run_campaign(seed: u64) -> SurvivalMatrix {
         },
     });
 
-    // 9. Zero-latency link (NC002): a survivable misconfiguration — the
+    // 4. Zero-latency link (NC002): a survivable misconfiguration — the
     //    run completes, the lint is what makes the vacuous-model hazard
     //    visible.
     let zero = NetConfig::shared_memory().zero_latency();
@@ -390,25 +190,6 @@ pub fn run_campaign(seed: u64) -> SurvivalMatrix {
     SurvivalMatrix {
         seed,
         scenarios: rows,
-        watchdog_trips: trips,
-    }
-}
-
-fn miss(
-    name: &'static str,
-    fault: &'static str,
-    expected: &'static str,
-    got: &Result<Vec<u64>, SimError>,
-) -> Scenario {
-    Scenario {
-        name,
-        fault,
-        expected,
-        observed: match got {
-            Ok(_) => "unexpectedly completed".into(),
-            Err(e) => format!("unexpected failure shape: {e}"),
-        },
-        pass: false,
     }
 }
 
@@ -420,15 +201,9 @@ mod tests {
     fn campaign_is_deterministic_and_survives_as_specified() {
         let a = run_campaign(42);
         assert!(a.all_pass(), "matrix:\n{}", a.render());
-        assert_eq!(a.scenarios.len(), 9);
-        assert_eq!(a.watchdog_trips, 1, "exactly the token-drop scenario trips");
+        assert_eq!(a.scenarios.len(), 4);
         let render = a.render();
         for label in [
-            "token_drop",
-            "token_duplicate",
-            "payload_bit_flip",
-            "model_stall",
-            "host_thread_delay",
             "link_degrade",
             "link_dead",
             "rank_loss",
@@ -449,7 +224,6 @@ mod tests {
 
         let mut block = CounterBlock::new(true);
         a.publish(&mut block);
-        assert_eq!(block.get("host.resilience.campaign.passed"), Some(9));
-        assert_eq!(block.get("host.resilience.watchdog_trips"), Some(1));
+        assert_eq!(block.get("host.resilience.campaign.passed"), Some(4));
     }
 }

@@ -7,7 +7,7 @@
 //! paper-vs-measured comparison.
 
 use crate::metrics::relative_speedup;
-use bsim_engine::{SimRate, SimRateMeter};
+use crate::rate::{SimRate, SimRateMeter};
 use bsim_mpi::NetConfig;
 use bsim_resilience::snapshot::{restore_field, CkptError, Snapshot};
 use bsim_soc::{configs, RunReport, Soc, SocConfig};
@@ -1005,14 +1005,13 @@ pub fn figure_plan(id: &str, sizes: Sizes, par: Parallelism) -> Option<Vec<Subfi
     Some(plan)
 }
 
-/// Assigns `cells` sweep cells to `ranks` workers, round-robin. Unlike
-/// the contiguous block layout `bsim_mpi::RankMap` uses for model
-/// graphs (where neighbor traffic dominates), sweep cells are
-/// independent and their costs are *ordered* — figure plans put the
-/// heavy multi-rank subfigures next to each other — so striding spreads
-/// the expensive neighbors across workers instead of handing one worker
-/// the whole hot block. The assignment is pure arithmetic on indices:
-/// every launcher, worker, and resumed recovery computes the same map.
+/// Assigns `cells` sweep cells to `ranks` workers, round-robin. Sweep
+/// cells are independent and their costs are *ordered* — figure plans
+/// put the heavy multi-rank subfigures next to each other — so striding
+/// spreads the expensive neighbors across workers instead of handing one
+/// worker the whole hot block. The assignment is pure arithmetic on
+/// indices: every launcher, worker, and resumed recovery computes the
+/// same map.
 pub fn partition_cells(cells: usize, ranks: usize) -> Vec<usize> {
     assert!(ranks >= 1, "a sweep needs at least one worker");
     (0..cells).map(|i| i % ranks).collect()

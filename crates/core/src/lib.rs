@@ -18,9 +18,11 @@
 //! * [`resilient`] — retrying/checkpointing sweep runners for long
 //!   simulations: a poisoned cell degrades to a diagnosed failure row
 //!   and `bsim fig --resume` replays completed subfigures from disk,
-//! * [`campaign`] — the `bsim faults` fault-injection campaign: eight
-//!   deterministic scenarios with typed expectations, rendered as a
-//!   survival matrix.
+//! * [`rate`] — the [`SimRateMeter`] host-rate accounting (target-MHz,
+//!   slowdown) the metered sweep runners publish under `host.rate.*`,
+//! * [`campaign`] — the `bsim faults` fault-injection campaign: the
+//!   in-process link and rank scenarios with typed expectations,
+//!   rendered as a survival matrix.
 //!
 //! ## Quickstart
 //!
@@ -42,6 +44,7 @@
 pub mod campaign;
 pub mod experiments;
 pub mod metrics;
+pub mod rate;
 pub mod resilient;
 pub mod table;
 pub mod tuning;
@@ -52,9 +55,10 @@ pub use experiments::{
     Series, SweepRun,
 };
 pub use metrics::relative_speedup;
+pub use rate::{SimRate, SimRateMeter};
 pub use resilient::{
-    run_figure, run_figure_with, run_grid_checkpointed, run_grid_resilient, run_plan_with,
-    ResilientSweep,
+    plan_digest, run_figure, run_figure_with, run_grid_checkpointed, run_grid_resilient,
+    run_plan_with, ResilientSweep,
 };
 
 // The resilience vocabulary the runners above speak, re-exported so

@@ -13,9 +13,9 @@
 //! `host.rate.*` prefix so E15's 60 MHz/15 MHz discussion is
 //! reproducible from exported telemetry. Everything here is wall-clock
 //! derived and therefore host-dependent, hence the reserved `host.`
-//! prefix — deterministic exports and gap reports exclude it. The
-//! pre-telemetry `start`/`add_cycles`/`finish` API survives as a thin
-//! wrapper over the registry.
+//! prefix — deterministic exports and gap reports exclude it. Its one
+//! caller is the metered grid runner ([`crate::run_grid_metered`]),
+//! whose rate lands in every figure note as "… target-MHz aggregate".
 
 use bsim_telemetry::{CounterBlock, CounterId};
 use serde::{Deserialize, Serialize};

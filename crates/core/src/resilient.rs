@@ -7,12 +7,20 @@
 //! aborting hours of simulation. This module provides that, plus
 //! figure-granular checkpointing so `bsim fig --resume` replays
 //! completed subfigures from disk byte-for-byte.
+//!
+//! A stored figure is keyed by its subfigure id *and* a digest of
+//! everything else that shaped it ([`plan_digest`]: the workload sizes,
+//! the sampling config, the checkpoint format version), so resuming
+//! with different sizes or sampling recomputes instead of replaying a
+//! figure computed under other settings.
 
 use crate::experiments::{drain_grid, figure_plan, FigureData, Parallelism, Sizes};
-use bsim_resilience::ckpt::CkptStore;
+use bsim_resilience::ckpt::{CkptStore, CKPT_VERSION};
+use bsim_resilience::content_hash;
 use bsim_resilience::retry::{CellOutcome, RetryPolicy};
 use bsim_resilience::snapshot::{CkptError, Snapshot};
 use bsim_telemetry::CounterBlock;
+use serde::{Serialize, Value};
 
 /// Outcome of a resilient sweep: one [`CellOutcome`] per grid cell, in
 /// grid order, plus the host-side accounting the run export publishes
@@ -130,12 +138,34 @@ where
     })
 }
 
+/// Digest of what shapes a figure besides its subfigure id: the workload
+/// `sizes`, the `sampling` config (`None` for exact runs) and
+/// [`CKPT_VERSION`]. Exact scalar and exact lane runs are bit-identical,
+/// so both pass `None` and share checkpoint entries; host parallelism
+/// and lane width never change a result and are deliberately absent.
+pub fn plan_digest(sizes: &Sizes, sampling: Option<Value>) -> u64 {
+    content_hash(&Value::Map(vec![
+        ("sizes".into(), sizes.to_value()),
+        (
+            "sampling".into(),
+            sampling.unwrap_or_else(|| Value::Str("exact".into())),
+        ),
+        ("ckpt_version".into(), Value::U64(CKPT_VERSION)),
+    ]))
+}
+
+/// The checkpoint-store key of subfigure `id` under a [`plan_digest`].
+fn ckpt_key(id: &str, digest: u64) -> String {
+    format!("{id}@{digest:016x}")
+}
+
 /// Runs one `bsim fig <id>` invocation with retry and (optionally)
 /// figure-granular checkpoint/resume. Each subfigure runs under
 /// `policy`; a subfigure that fails every attempt degrades to a
 /// [`CellOutcome::Failed`] row so the remaining subfigures still print.
-/// With a store, completed subfigures are written under their stable
-/// keys (`fig3a`, …) and a resumed run replays them from disk.
+/// With a store, completed subfigures are written under their id plus
+/// [`plan_digest`]`(sizes, None)` and a resumed run at the same sizes
+/// replays them from disk.
 ///
 /// Panics on an unknown figure id — callers validate against
 /// [`crate::experiments::FIGURE_IDS`] first (the CLI does).
@@ -163,24 +193,27 @@ pub fn run_figure_with(
 ) -> Result<Vec<(String, CellOutcome<FigureData>)>, CkptError> {
     let plan = figure_plan(id, sizes, par)
         .unwrap_or_else(|| panic!("unknown figure id {id}; valid: 1..7"));
-    run_plan_with(plan, policy, store, on_ckpt)
+    run_plan_with(plan, plan_digest(&sizes, None), policy, store, on_ckpt)
 }
 
 /// Runs an already-built subfigure plan through the retry/checkpoint
-/// machinery. Alternate planners — `bsim-sweepx` builds lane-grouped
-/// plans with the same stable `fig*` keys — share this path, so
-/// `--ckpt`/`--resume` behave identically whether a figure was produced
-/// by scalar cells or multi-lane replay.
+/// machinery, storing each subfigure under `<id>@<digest>`.
+/// Alternate planners — `bsim-sweepx` builds lane-grouped plans with
+/// the same stable `fig*` ids — share this path, so `--ckpt`/`--resume`
+/// behave identically whether a figure was produced by scalar cells or
+/// multi-lane replay. Results are returned under the bare subfigure ids.
 pub fn run_plan_with(
     plan: Vec<crate::experiments::Subfigure>,
+    digest: u64,
     policy: &RetryPolicy,
     mut store: Option<&mut CkptStore>,
     mut on_ckpt: impl FnMut(&CkptStore),
 ) -> Result<Vec<(String, CellOutcome<FigureData>)>, CkptError> {
     let mut out = Vec::with_capacity(plan.len());
     for (fig_key, gen) in plan {
+        let key = ckpt_key(fig_key, digest);
         if let Some(store) = store.as_deref_mut() {
-            if let Some(fig) = store.get::<FigureData>(fig_key)? {
+            if let Some(fig) = store.get::<FigureData>(&key)? {
                 out.push((
                     fig_key.to_string(),
                     CellOutcome::Ok {
@@ -193,7 +226,7 @@ pub fn run_plan_with(
         }
         let outcome = policy.run(&gen);
         if let (Some(store), CellOutcome::Ok { value, .. }) = (store.as_deref_mut(), &outcome) {
-            store.put(fig_key, value);
+            store.put(&key, value);
             on_ckpt(store);
         }
         out.push((fig_key.to_string(), outcome));
@@ -367,7 +400,7 @@ mod tests {
         .unwrap();
         assert_eq!(first.len(), 1);
         assert_eq!(saves, 1, "on_ckpt fires once per completed subfigure");
-        assert!(store.contains("fig6"));
+        assert!(store.contains(&ckpt_key("fig6", plan_digest(&tiny, None))));
 
         // Resume through the JSON wire format: the subfigure is replayed
         // from the store (attempts == 0), not re-simulated, and is

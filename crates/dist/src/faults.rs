@@ -1,8 +1,8 @@
 //! The scale-out scenarios for the `bsim faults` survival matrix.
 //!
-//! The nine in-process scenarios (`bsim-core::campaign`) cover token,
-//! model, and host-thread faults inside one address space. Scale-out
-//! adds fault classes the engine cannot see from inside:
+//! The four in-process scenarios (`bsim-core::campaign`) cover link and
+//! rank faults inside one address space. Scale-out adds fault classes
+//! that only exist between processes:
 //!
 //! * [`process_kill_scenario`] — an entire worker process disappears
 //!   mid-sweep (real processes, SIGKILL): the launcher must respawn it

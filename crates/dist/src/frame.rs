@@ -3,17 +3,8 @@
 //!
 //! Every byte that crosses a process boundary is one [`Frame`]:
 //! `[magic: u16 LE][version: u8][tag: u8][len: u32 LE][crc32: u32 LE]`
-//! `[payload: len bytes]`. Two frame kinds carry token traffic —
-//! [`Frame::Data`] for literal token batches and [`Frame::Run`] for
-//! run-length spans (the on-the-wire form of the quiescence
-//! fast-forward: a million idle cycles is 36 bytes, not 8 MB) — the
-//! rest are control-plane: handshake, plan distribution, link pairing,
-//! and result collection.
-//!
-//! Frames carry *channel-absolute* start cycles so every hop re-checks
-//! the token protocol: a frame landing at the wrong cycle is a protocol
-//! violation surfaced as [`std::io::ErrorKind::InvalidData`], never a
-//! silently reordered simulation.
+//! `[payload: len bytes]`. The frames carry the sweep control plane:
+//! handshake, plan distribution, and result collection.
 //!
 //! Failure taxonomy (see [`FrameError`] / [`classify`]): clean EOF
 //! between frames is **peer loss**; EOF inside a frame is a **torn**
@@ -46,15 +37,7 @@ pub enum Frame {
     Hello { rank: u32 },
     /// Coordinator → worker: the JSON partition plan ([`crate::plan`]).
     Plan { json: String },
-    /// A literal batch of tokens for cycles `start..start + tokens.len()`.
-    Data { start: u64, tokens: Vec<u64> },
-    /// A run-length span: `n` copies of `fill` for cycles `start..start + n`.
-    Run { start: u64, n: u64, fill: u64 },
-    /// First frame on a token-link connection: which cut wire this
-    /// stream carries and which endpoint the sender is.
-    Link { wire: u32, producer: bool },
-    /// Worker → coordinator: one completed result (sweep cell or final
-    /// partition state), by plan index.
+    /// Worker → coordinator: one completed sweep cell, by plan index.
     Cell { index: u32, json: String },
     /// Worker → coordinator: the plan is fully executed.
     Done,
@@ -64,17 +47,11 @@ pub enum Frame {
 
 impl Frame {
     /// The protocol-table message name of this frame, as used by the PV
-    /// model in `bsim_check::proto::dist_protocol`. `Data`/`Run` are
-    /// token-link traffic and never appear on the control connection the
-    /// table models; they keep their own names so a misrouted token
-    /// frame shows up as an off-alphabet event, not a silent accept.
+    /// model in `bsim_check::proto::dist_protocol`.
     pub fn event(&self) -> &'static str {
         match self {
             Frame::Hello { .. } => "Hello",
             Frame::Plan { .. } => "Plan",
-            Frame::Data { .. } => "Data",
-            Frame::Run { .. } => "Run",
-            Frame::Link { .. } => "Link",
             Frame::Cell { .. } => "Cell",
             Frame::Done => "Done",
             Frame::Err { .. } => "Err",
@@ -84,9 +61,8 @@ impl Frame {
 
 const TAG_HELLO: u8 = 1;
 const TAG_PLAN: u8 = 2;
-const TAG_DATA: u8 = 3;
-const TAG_RUN: u8 = 4;
-const TAG_LINK: u8 = 5;
+// Tags 3–5 are retired: a peer at the same protocol version that still
+// sends them gets a typed `Corrupt` (unknown tag), never a misparse.
 const TAG_CELL: u8 = 6;
 const TAG_DONE: u8 = 7;
 const TAG_ERR: u8 = 8;
@@ -154,21 +130,10 @@ fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 fn take_u32(payload: &[u8], at: usize) -> io::Result<u32> {
     payload
         .get(at..at + 4)
         .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte slice"))) // bsim: allow(AU002) slice width is structural
-        .ok_or_else(|| bad("truncated frame payload".into()))
-}
-
-fn take_u64(payload: &[u8], at: usize) -> io::Result<u64> {
-    payload
-        .get(at..at + 8)
-        .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte slice"))) // bsim: allow(AU002) slice width is structural
         .ok_or_else(|| bad("truncated frame payload".into()))
 }
 
@@ -178,8 +143,8 @@ fn take_str(payload: &[u8], at: usize) -> io::Result<String> {
 
 /// Serializes and writes one frame. One `write_all` per frame keeps a
 /// frame from interleaving with another writer's bytes only if the
-/// stream has a single writer — which the link design guarantees (each
-/// direction of each cut wire is its own connection).
+/// stream has a single writer — which the launcher guarantees (each
+/// worker owns its control connection).
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     let (tag, payload) = match frame {
         Frame::Hello { rank } => {
@@ -188,27 +153,6 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
             (TAG_HELLO, p)
         }
         Frame::Plan { json } => (TAG_PLAN, json.as_bytes().to_vec()),
-        Frame::Data { start, tokens } => {
-            let mut p = Vec::with_capacity(8 + tokens.len() * 8);
-            put_u64(&mut p, *start);
-            for t in tokens {
-                put_u64(&mut p, *t);
-            }
-            (TAG_DATA, p)
-        }
-        Frame::Run { start, n, fill } => {
-            let mut p = Vec::with_capacity(24);
-            put_u64(&mut p, *start);
-            put_u64(&mut p, *n);
-            put_u64(&mut p, *fill);
-            (TAG_RUN, p)
-        }
-        Frame::Link { wire, producer } => {
-            let mut p = Vec::with_capacity(5);
-            put_u32(&mut p, *wire);
-            p.push(u8::from(*producer));
-            (TAG_LINK, p)
-        }
         Frame::Cell { index, json } => {
             let mut p = Vec::with_capacity(4 + json.len());
             put_u32(&mut p, *index);
@@ -296,26 +240,6 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
         TAG_PLAN => Ok(Frame::Plan {
             json: take_str(&payload, 0)?,
         }),
-        TAG_DATA => {
-            let start = take_u64(&payload, 0)?;
-            if !(payload.len() - 8).is_multiple_of(8) {
-                return Err(bad("Data frame payload is not a whole token count".into()));
-            }
-            let tokens = payload[8..]
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))) // bsim: allow(AU002) slice width is structural
-                .collect();
-            Ok(Frame::Data { start, tokens })
-        }
-        TAG_RUN => Ok(Frame::Run {
-            start: take_u64(&payload, 0)?,
-            n: take_u64(&payload, 8)?,
-            fill: take_u64(&payload, 16)?,
-        }),
-        TAG_LINK => Ok(Frame::Link {
-            wire: take_u32(&payload, 0)?,
-            producer: *payload.get(4).ok_or_else(|| bad("truncated Link".into()))? != 0,
-        }),
         TAG_CELL => Ok(Frame::Cell {
             index: take_u32(&payload, 0)?,
             json: take_str(&payload, 4)?,
@@ -341,19 +265,6 @@ mod tests {
             Frame::Plan {
                 json: r#"{"mode":"sweep"}"#.into(),
             },
-            Frame::Data {
-                start: 7,
-                tokens: vec![1, 0, u64::MAX],
-            },
-            Frame::Run {
-                start: 10,
-                n: 1 << 40,
-                fill: 0,
-            },
-            Frame::Link {
-                wire: 2,
-                producer: true,
-            },
             Frame::Cell {
                 index: 5,
                 json: "{}".into(),
@@ -374,24 +285,6 @@ mod tests {
         // The stream is exactly consumed: next read is a clean EOF.
         let end = read_frame(&mut r).expect_err("stream is drained");
         assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn a_run_frame_is_constant_size() {
-        let mut wire = Vec::new();
-        write_frame(
-            &mut wire,
-            &Frame::Run {
-                start: 0,
-                n: 1_000_000,
-                fill: 0,
-            },
-        )
-        .expect("vec write");
-        // 12-byte integrity header + 24-byte payload: a million idle
-        // cycles in 36 bytes is the point of run-length token traffic.
-        assert_eq!(wire.len(), HEADER_LEN + 24);
-        assert_eq!(wire.len(), 36);
     }
 
     /// A valid header for `payload`, for hand-corrupting in tests.
@@ -416,9 +309,9 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(
             &mut wire,
-            &Frame::Data {
-                start: 0,
-                tokens: vec![1, 2, 3],
+            &Frame::Cell {
+                index: 0,
+                json: r#"{"cycles":1}"#.into(),
             },
         )
         .expect("vec write");
@@ -498,14 +391,9 @@ mod tests {
             Frame::Plan {
                 json: r#"{"mode":"sweep","cells":3}"#.into(),
             },
-            Frame::Data {
-                start: 64,
-                tokens: (0..32).collect(),
-            },
-            Frame::Run {
-                start: 96,
-                n: 1 << 30,
-                fill: 0,
+            Frame::Cell {
+                index: 1,
+                json: r#"{"platform":"rocket1","cycles":123456,"retired":98765}"#.into(),
             },
             Frame::Cell {
                 index: 2,
@@ -558,19 +446,14 @@ mod tests {
 
     #[test]
     fn control_frame_events_are_in_the_protocol_alphabet() {
-        // The runtime gates control-plane frames through the PV table by
-        // name; a frame whose `event()` drifted from the table would be
-        // rejected as off-alphabet at runtime. Data/Run are token-link
-        // traffic the control table deliberately does not model.
+        // The runtime gates every frame through the PV table by name; a
+        // frame whose `event()` drifted from the table would be rejected
+        // as off-alphabet at runtime.
         let alphabet = bsim_check::proto::dist_protocol().alphabet();
         let control = [
             Frame::Hello { rank: 0 },
             Frame::Plan {
                 json: String::new(),
-            },
-            Frame::Link {
-                wire: 0,
-                producer: true,
             },
             Frame::Cell {
                 index: 0,
@@ -583,23 +466,6 @@ mod tests {
             assert!(
                 alphabet.contains(&f.event()),
                 "{} is missing from the dist protocol alphabet",
-                f.event()
-            );
-        }
-        for f in &[
-            Frame::Data {
-                start: 0,
-                tokens: vec![],
-            },
-            Frame::Run {
-                start: 0,
-                n: 0,
-                fill: 0,
-            },
-        ] {
-            assert!(
-                !alphabet.contains(&f.event()),
-                "token traffic {} must stay off the control alphabet",
                 f.event()
             );
         }

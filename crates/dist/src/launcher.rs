@@ -12,22 +12,14 @@
 //! and because every cell is deterministic and sequential inside
 //! ([`WireCell::run`]), the recovered sweep is byte-identical to an
 //! undisturbed one.
-//!
-//! Graph mode adds token-link relays: each cut wire is one extra
-//! connection per endpoint, introduced by a `Link` frame; the
-//! coordinator pairs the two ends and pipes bytes producer → consumer,
-//! so workers never need to know each other's addresses.
 
 use crate::cells::WireCell;
 use crate::frame::{read_frame, write_frame, Frame};
-use crate::graph::{demo_ring, fingerprint};
-use crate::plan::{lint_graph_plan, PlanSpec};
+use crate::plan::PlanSpec;
 use crate::worker;
 use bsim_check::proto::{dist_cached, Tracker};
 use bsim_core::experiments::partition_cells;
-use bsim_engine::Harness;
 use bsim_resilience::{Backoff, Breaker, BreakerState, CkptStore, PeerWatchdog};
-use serde::Value;
 use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
@@ -78,7 +70,7 @@ pub struct LaunchOpts {
     pub kill: Option<KillSpec>,
     /// Total respawn budget before the launcher gives up.
     pub max_respawns: usize,
-    /// Read/write timeout armed on every control and relay socket; zero
+    /// Read/write timeout armed on every control socket; zero
     /// disables. A silent peer becomes a typed timeout error feeding
     /// the normal Gone → respawn path, never a wedged thread.
     pub io_timeout: Duration,
@@ -177,21 +169,6 @@ impl<R: Read> Read for BitFlipReader<R> {
     }
 }
 
-/// A completed graph demo.
-#[derive(Clone, Debug)]
-pub struct GraphOutcome {
-    /// Fingerprint of the distributed final states, global model order.
-    pub fingerprint: String,
-    /// Fingerprint of the in-process `Harness::run` of the same target.
-    pub reference: String,
-}
-
-impl GraphOutcome {
-    pub fn identical(&self) -> bool {
-        self.fingerprint == self.reference
-    }
-}
-
 enum Spawned {
     Proc(Child),
     Thread(JoinHandle<()>),
@@ -244,12 +221,6 @@ enum Event {
         rank: usize,
         why: String,
     },
-    /// Graph mode: one end of a cut-wire relay arrived.
-    Link {
-        wire: u32,
-        producer: bool,
-        stream: TcpStream,
-    },
 }
 
 struct SweepShared {
@@ -262,9 +233,8 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Serves one control connection: handshake, plan, result stream.
-/// `graph_plan` serves graph mode; otherwise the plan is the rank's
-/// not-yet-done sweep cells.
+/// Serves one control connection: handshake, plan (the rank's
+/// not-yet-done sweep cells), result stream.
 ///
 /// The connection drives the `coordinator` role of the PV-checked dist
 /// protocol table: every received frame is gated by a `Recv` transition
@@ -273,8 +243,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// violation text, never silently tolerated.
 fn serve_conn(
     mut stream: TcpStream,
-    sweep: Option<Arc<SweepShared>>,
-    graph_plan: Option<Arc<dyn Fn(usize) -> PlanSpec + Send + Sync>>,
+    sweep: Arc<SweepShared>,
     wire_fault: Arc<Mutex<Option<WireFaultSpec>>>,
     events: mpsc::Sender<Event>,
 ) {
@@ -297,38 +266,25 @@ fn serve_conn(
         }
     };
     if tracker.recv(first.event()).is_err() {
-        // Off-table first frame (a stray Cell, token traffic on the
-        // control port): the table has no rule, so drop the connection.
+        // Off-table first frame (a stray Cell on the control port):
+        // the table has no rule, so drop the connection.
         return;
     }
-    let rank = match first {
-        Frame::Hello { rank } => rank as usize,
-        Frame::Link { wire, producer } => {
-            debug_assert!(tracker.is_terminal(), "Link must land in relaying");
-            let _ = events.send(Event::Link {
-                wire,
-                producer,
-                stream,
-            });
-            return;
-        }
-        _ => return,
+    let Frame::Hello { rank } = first else {
+        return;
     };
-    let plan = if let Some(make) = graph_plan {
-        make(rank)
-    } else if let Some(state) = &sweep {
-        let done = lock(&state.done);
+    let rank = rank as usize;
+    let plan = {
+        let done = lock(&sweep.done);
         PlanSpec::Sweep {
-            cells: state
+            cells: sweep
                 .assignment
                 .iter()
                 .enumerate()
                 .filter(|&(i, &r)| r == rank && done[i].is_none())
-                .map(|(i, _)| (i as u32, state.cells[i].clone()))
+                .map(|(i, _)| (i as u32, sweep.cells[i].clone()))
                 .collect(),
         }
-    } else {
-        return;
     };
     if write_frame(
         &mut stream,
@@ -419,8 +375,7 @@ struct Acceptor {
 
 impl Acceptor {
     fn start(
-        sweep: Option<Arc<SweepShared>>,
-        graph_plan: Option<Arc<dyn Fn(usize) -> PlanSpec + Send + Sync>>,
+        sweep: Arc<SweepShared>,
         io_timeout: Duration,
         wire_fault: Arc<Mutex<Option<WireFaultSpec>>>,
         events: mpsc::Sender<Event>,
@@ -434,16 +389,13 @@ impl Acceptor {
                 if flag.load(Ordering::SeqCst) {
                     return;
                 }
-                // Control and relay sockets alike: a peer that stalls
-                // mid-frame is a typed timeout, not a wedged thread.
+                // A peer that stalls mid-frame is a typed timeout, not a
+                // wedged thread.
                 arm_io(&stream, io_timeout);
-                let sweep = sweep.clone();
-                let graph_plan = graph_plan.clone();
+                let sweep = Arc::clone(&sweep);
                 let wire_fault = Arc::clone(&wire_fault);
                 let events = events.clone();
-                std::thread::spawn(move || {
-                    serve_conn(stream, sweep, graph_plan, wire_fault, events)
-                });
+                std::thread::spawn(move || serve_conn(stream, sweep, wire_fault, events));
             }
         });
         Ok(Acceptor {
@@ -509,8 +461,7 @@ pub fn run_sweep(
     });
     let (events_tx, events) = mpsc::channel();
     let mut acceptor = Acceptor::start(
-        Some(Arc::clone(&shared)),
-        None,
+        Arc::clone(&shared),
         opts.io_timeout,
         Arc::new(Mutex::new(opts.wire_fault)),
         events_tx,
@@ -595,7 +546,6 @@ pub fn run_sweep(
                     children.insert(rank, spawn_worker(opts, &acceptor.addr, rank)?);
                     watchdog.revive(rank);
                 }
-                Ok(Event::Link { .. }) => {} // not part of sweep mode
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     for rank in watchdog.dead() {
                         if rank_pending(rank) {
@@ -646,153 +596,6 @@ pub fn run_sweep(
             ranks,
             losses,
         }
-    })
-}
-
-/// Runs the partitioned demo ring across `opts.ranks` workers and the
-/// same target in-process, returning both fingerprints. This is the
-/// CLI-visible form of the determinism acceptance bar: the distributed
-/// schedule must be bit-identical to `Harness::run`.
-pub fn run_graph_demo(
-    ring: usize,
-    latency: u64,
-    quantum: usize,
-    cycles: u64,
-    seed: u64,
-    opts: &LaunchOpts,
-) -> io::Result<GraphOutcome> {
-    let (models, wires) = demo_ring(ring, seed, latency);
-    let assignment = bsim_soc::partition::core_assignment(ring, opts.ranks);
-    let ranks = assignment.iter().max().map_or(1, |&r| r + 1);
-    let report = lint_graph_plan(ranks, &assignment, &wires, quantum);
-    if report.has_errors() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("partition plan fails preflight:\n{report}"),
-        ));
-    }
-
-    let reference = fingerprint(&Harness::new(models.clone(), wires.clone()).run(cycles));
-
-    let plan_assignment = assignment.clone();
-    let graph_plan: Arc<dyn Fn(usize) -> PlanSpec + Send + Sync> =
-        Arc::new(move |rank| PlanSpec::Graph {
-            ring,
-            latency,
-            quantum,
-            cycles,
-            seed,
-            assignment: plan_assignment.clone(),
-            rank,
-        });
-    let (events_tx, events) = mpsc::channel();
-    let mut acceptor = Acceptor::start(
-        None,
-        Some(graph_plan),
-        opts.io_timeout,
-        Arc::new(Mutex::new(None)),
-        events_tx,
-    )?;
-
-    let mut children: HashMap<usize, Spawned> = HashMap::new();
-    let result = (|| -> io::Result<String> {
-        let mut watchdog = PeerWatchdog::new(ranks, opts.silence_budget);
-        for rank in 0..ranks {
-            children.insert(rank, spawn_worker(opts, &acceptor.addr, rank)?);
-        }
-        let mut relays: HashMap<u32, (Option<TcpStream>, Option<TcpStream>)> = HashMap::new();
-        let mut states: Vec<Option<Value>> = vec![None; ring];
-        let mut finished = vec![false; ranks];
-        loop {
-            if finished.iter().all(|&f| f) && states.iter().all(Option::is_some) {
-                return Ok(serde_json::to_string(&Value::Seq(
-                    states.into_iter().map(|s| s.expect("checked")).collect(),
-                ))
-                .expect("shim renderer is total"));
-            }
-            match events.recv_timeout(Duration::from_millis(50)) {
-                Ok(Event::Link {
-                    wire,
-                    producer,
-                    stream,
-                }) => {
-                    let slot = relays.entry(wire).or_insert((None, None));
-                    if producer {
-                        slot.0 = Some(stream);
-                    } else {
-                        slot.1 = Some(stream);
-                    }
-                    if slot.0.is_some() && slot.1.is_some() {
-                        let mut from = slot.0.take().expect("checked");
-                        let mut to = slot.1.take().expect("checked");
-                        // Byte relay: frames pass through untouched, so
-                        // the endpoints' cycle checks still apply
-                        // end-to-end.
-                        std::thread::spawn(move || {
-                            let _ = io::copy(&mut from, &mut to);
-                        });
-                        relays.remove(&wire);
-                    }
-                }
-                Ok(Event::Cell { rank, json, .. }) => {
-                    watchdog.beat(rank);
-                    let tree: Value = serde_json::from_str(&json).map_err(|_| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("rank {rank} sent undecodable states"),
-                        )
-                    })?;
-                    if let Value::Map(entries) = tree {
-                        for (key, state) in entries {
-                            let id: usize = key.parse().map_err(|_| {
-                                io::Error::new(
-                                    io::ErrorKind::InvalidData,
-                                    format!("rank {rank} sent non-numeric model id {key:?}"),
-                                )
-                            })?;
-                            states[id] = Some(state);
-                        }
-                    }
-                }
-                Ok(Event::Done { rank }) => {
-                    watchdog.beat(rank);
-                    finished[rank] = true;
-                }
-                Ok(Event::Gone { rank, why }) => {
-                    return Err(io::Error::other(format!("rank {rank} died mid-run: {why}")));
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if let Some(&rank) = watchdog.dead().first() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!("rank {rank} silent past the watchdog budget"),
-                        ));
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(io::Error::other(
-                        "event channel closed before the run finished",
-                    ));
-                }
-            }
-        }
-    })();
-
-    acceptor.shutdown();
-    // bsim: allow(AU003) kill/wait order does not affect results
-    for (_, mut child) in children.drain() {
-        match &mut child {
-            Spawned::Proc(_) => child.kill_and_reap(),
-            Spawned::Thread(_) => {
-                if let Spawned::Thread(h) = child {
-                    let _ = h.join();
-                }
-            }
-        }
-    }
-    result.map(|fp| GraphOutcome {
-        fingerprint: fp,
-        reference,
     })
 }
 
@@ -866,17 +669,5 @@ mod tests {
         opts.max_respawns = 2;
         let err = run_sweep(&cells, &opts, &mut store).expect_err("cell can never run");
         assert!(err.to_string().contains("respawn budget"), "{err}");
-    }
-
-    #[test]
-    fn the_graph_demo_is_bit_identical_across_two_thread_ranks() {
-        let outcome = run_graph_demo(4, 2, 16, 400, 0xD15C0, &LaunchOpts::threads(2))
-            .expect("demo completes");
-        assert!(
-            outcome.identical(),
-            "distributed {} != in-process {}",
-            outcome.fingerprint,
-            outcome.reference
-        );
     }
 }

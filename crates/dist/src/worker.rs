@@ -13,17 +13,13 @@
 
 use crate::cells::WireCell;
 use crate::frame::{read_frame, write_frame, Frame};
-use crate::graph::{demo_ring, rank_view, RankGraph};
 use crate::plan::PlanSpec;
 use bsim_check::proto::{dist_cached, Tracker, Violation};
-use bsim_resilience::snapshot::Snapshot;
-use serde::Value;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// Socket timeout armed on every worker-side connection (control and
-/// token links). A coordinator that accepts and then goes silent is a
+/// Socket timeout armed on the worker's control connection. A coordinator that accepts and then goes silent is a
 /// typed [`io::ErrorKind::TimedOut`]/`WouldBlock` error, not a worker
 /// process wedged forever.
 pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(120);
@@ -130,30 +126,8 @@ pub fn run_with(addr: &str, rank: usize, io_timeout: Duration) -> io::Result<()>
         let _ = write_frame(&mut control, &Frame::Err { msg: msg.clone() });
         return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
     };
-    match plan {
-        PlanSpec::Sweep { cells } => run_sweep(&mut control, &mut tracker, rank, &cells),
-        PlanSpec::Graph {
-            ring,
-            latency,
-            quantum,
-            cycles,
-            seed,
-            assignment,
-            rank: plan_rank,
-        } => run_graph(
-            &mut control,
-            &mut tracker,
-            addr,
-            io_timeout,
-            plan_rank,
-            ring,
-            latency,
-            quantum,
-            cycles,
-            seed,
-            &assignment,
-        ),
-    }
+    let PlanSpec::Sweep { cells } = plan;
+    run_sweep(&mut control, &mut tracker, rank, &cells)
 }
 
 fn run_sweep(
@@ -183,76 +157,6 @@ fn run_sweep(
             }
         }
     }
-    tracker.local("done").map_err(drift)?;
-    write_frame(control, &Frame::Done)?;
-    debug_assert!(tracker.is_terminal(), "worker left the table mid-exchange");
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_graph(
-    control: &mut TcpStream,
-    tracker: &mut Tracker<'_>,
-    addr: &str,
-    io_timeout: Duration,
-    rank: usize,
-    ring: usize,
-    latency: u64,
-    quantum: usize,
-    cycles: u64,
-    seed: u64,
-    assignment: &[usize],
-) -> io::Result<()> {
-    let (models, wires) = demo_ring(ring, seed, latency);
-    let view = rank_view(assignment, &wires, rank);
-    // One extra connection per cut wire, introduced by a Link frame so
-    // the coordinator can pair producer and consumer ends and relay
-    // bytes between them.
-    // Each link connection is its own protocol session: a fresh tracker
-    // takes the `connect --link--> piping` transition and parks in the
-    // `piping` terminal, after which the socket carries raw token frames
-    // the control table deliberately does not model.
-    let connect_link = |wire: u32, producer: bool| -> io::Result<TcpStream> {
-        let mut link = worker_tracker()?;
-        link.local("link").map_err(drift)?;
-        debug_assert!(link.is_terminal());
-        let mut s = TcpStream::connect(addr)?;
-        arm_io(&s, io_timeout);
-        write_frame(&mut s, &Frame::Link { wire, producer })?;
-        Ok(s)
-    };
-    let mut out_streams: Vec<Box<dyn Write + Send>> = Vec::with_capacity(view.outs.len());
-    for cut in &view.outs {
-        out_streams.push(Box::new(connect_link(cut.wire as u32, true)?));
-    }
-    let mut in_streams: Vec<Box<dyn Read + Send>> = Vec::with_capacity(view.ins.len());
-    for cut in &view.ins {
-        in_streams.push(Box::new(connect_link(cut.wire as u32, false)?));
-    }
-    let local: Vec<_> = view
-        .local_models
-        .iter()
-        .map(|&g| models[g].clone())
-        .collect();
-    let mut graph = RankGraph::new(local, &view, in_streams, out_streams, quantum, true);
-    graph.run(cycles)?;
-    // Final states keyed by global model id, so the coordinator can
-    // reassemble the ring in order.
-    let states = Value::Map(
-        view.local_models
-            .iter()
-            .zip(graph.models())
-            .map(|(&g, m)| (g.to_string(), m.save()))
-            .collect(),
-    );
-    tracker.local("cell").map_err(drift)?;
-    write_frame(
-        control,
-        &Frame::Cell {
-            index: rank as u32,
-            json: serde_json::to_string(&states).expect("shim renderer is total"),
-        },
-    )?;
     tracker.local("done").map_err(drift)?;
     write_frame(control, &Frame::Done)?;
     debug_assert!(tracker.is_terminal(), "worker left the table mid-exchange");

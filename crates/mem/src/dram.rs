@@ -159,9 +159,6 @@ pub struct DramModel {
     row_lines_shift: Option<u32>,
     /// Precomputed `log2(ranks * banks)`.
     bank_shift: Option<u32>,
-    /// Latest completion time across banks and channel buses: the model
-    /// is quiescent after this instant until the next access arrives.
-    busy_until_ns: f64,
 }
 
 impl DramModel {
@@ -181,7 +178,6 @@ impl DramModel {
             ch_shift: po2_shift(cfg.channels as u64),
             row_lines_shift: po2_shift((cfg.row_bytes as u64 / 64).max(1)),
             bank_shift: po2_shift((cfg.ranks * cfg.banks) as u64),
-            busy_until_ns: 0.0,
             cfg,
             core_freq_ghz,
             reads: 0,
@@ -241,13 +237,6 @@ impl DramModel {
         (ch, bank, row)
     }
 
-    /// Cycle after which every bank and channel bus is idle: nothing in
-    /// this model changes between then and the next access, which is
-    /// exactly the promise a harness quiescence hint needs.
-    pub fn busy_until_cycle(&self) -> u64 {
-        self.cycles_of(self.busy_until_ns)
-    }
-
     /// Services a 64-byte line access issued at core cycle `now`.
     pub fn access(&mut self, addr: u64, is_write: bool, now: u64) -> DramOutcome {
         let (ch, bank_in_ch, row) = self.map(addr);
@@ -272,7 +261,6 @@ impl DramModel {
         let done_ns = data_start + burst;
         self.channel_free_ns[ch] = done_ns;
         self.banks[bank_idx].ready_ns = done_ns;
-        self.busy_until_ns = self.busy_until_ns.max(done_ns);
 
         if is_write {
             self.writes += 1;
@@ -409,18 +397,6 @@ mod tests {
                 assert_eq!(d.map(addr), expect, "{}: addr {addr:#x}", cfg.name);
             }
         }
-    }
-
-    #[test]
-    fn busy_until_tracks_the_latest_completion() {
-        let mut d = DramModel::new(DramConfig::ddr4_3200(1), 2.0);
-        assert_eq!(d.busy_until_cycle(), 0, "an idle model is quiescent");
-        let a = d.access(0x0, false, 0);
-        assert_eq!(d.busy_until_cycle(), a.done);
-        let b = d.access(0x40, true, a.done + 500);
-        assert_eq!(d.busy_until_cycle(), b.done);
-        // An earlier-finishing access never shrinks the horizon.
-        assert!(d.busy_until_cycle() >= a.done);
     }
 
     #[test]

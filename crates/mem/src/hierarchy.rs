@@ -128,16 +128,6 @@ impl MemoryHierarchy {
         &self.cfg
     }
 
-    /// Quiescence hint in `TickModel::next_activity` terms: the cycle
-    /// after which no in-flight DRAM activity remains. Cache tag state
-    /// is updated eagerly at access time, so the DRAM busy horizon is
-    /// the only future event the hierarchy holds; `None` when the memory
-    /// system is already drained.
-    pub fn next_activity(&self, now: u64) -> Option<u64> {
-        let busy = self.dram.busy_until_cycle();
-        (busy > now).then_some(busy)
-    }
-
     /// Cumulative statistics.
     pub fn stats(&self) -> MemStats {
         let mut s = self.stats;

@@ -25,11 +25,9 @@
 //! observation in §5.2.2) is modeled by the same hierarchy state.
 
 pub mod net;
-pub mod procmap;
 pub mod record;
 pub mod world;
 
 pub use net::NetConfig;
-pub use procmap::RankMap;
 pub use record::{Ev, WorldTrace};
 pub use world::{MpiWorld, RankCtx, ReduceOp, WorldReport};

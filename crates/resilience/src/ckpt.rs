@@ -1,17 +1,19 @@
 //! Versioned on-disk checkpoint store.
 //!
 //! A [`CkptStore`] is a keyed collection of [`Snapshot`] trees — one
-//! entry per completed sweep cell (key like `"fig4/cell3"`), plus
+//! entry per completed sweep cell (key like `"fig4/cell3"`, or a
+//! subfigure id plus the digest of the sizes and sampling config that
+//! produced it, like `"fig4a@0123456789abcdef"`), plus
 //! whatever run-level state the caller adds. It serializes to a single
 //! deterministic JSON file with a format version header, so `bsim fig
 //! --resume <ckpt>` can skip finished cells and a stale file from an
 //! incompatible binary fails loudly with
 //! [`CkptError::VersionMismatch`] instead of silently misparsing.
 //!
-//! ## Format (v1)
+//! ## Format (v2)
 //!
 //! ```json
-//! { "version": 1, "cells": { "<key>": <snapshot tree>, ... } }
+//! { "version": 2, "cells": { "<key>": <snapshot tree>, ... } }
 //! ```
 //!
 //! Keys keep insertion order, so re-writing the same store is
@@ -25,8 +27,10 @@ use std::path::Path;
 ///
 /// Bump on any layout change; `load` refuses other versions. There is
 /// deliberately no migration machinery — checkpoints are short-lived
-/// run artifacts, not archives.
-pub const CKPT_VERSION: u64 = 1;
+/// run artifacts, not archives. Version 2 keys figure entries by the
+/// digest of what shaped them; version 1 keyed them by subfigure id
+/// alone, so a resume at other sizes could replay the wrong figure.
+pub const CKPT_VERSION: u64 = 2;
 
 /// Keyed, versioned collection of snapshot trees.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -205,7 +209,7 @@ mod tests {
             Err(CkptError::MissingField { .. })
         ));
         assert!(matches!(
-            CkptStore::from_json(r#"{"version":1,"cells":[]}"#),
+            CkptStore::from_json(r#"{"version":2,"cells":[]}"#),
             Err(CkptError::WrongType { .. })
         ));
         assert!(matches!(
@@ -213,7 +217,7 @@ mod tests {
             Err(CkptError::Corrupt { .. })
         ));
         // Malformed entry under a present key is loud.
-        let store = CkptStore::from_json(r#"{"version":1,"cells":{"a":"nope"}}"#).unwrap();
+        let store = CkptStore::from_json(r#"{"version":2,"cells":{"a":"nope"}}"#).unwrap();
         assert!(store.get::<u64>("a").is_err());
     }
 

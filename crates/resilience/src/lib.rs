@@ -1,53 +1,44 @@
 //! # bsim-resilience — runtime robustness for long simulations
 //!
-//! The paper's FireSim experiments are multi-hour FPGA-hosted runs where
-//! a single stalled token channel or crashed target model loses the
-//! whole experiment. `bsim-check` (static analysis) catches
-//! misconfigurations *before* cycle 0; this crate defends a run *at
-//! runtime*:
+//! The paper's FireSim experiments are multi-hour runs where one crashed
+//! cell or one corrupted result loses the experiment. `bsim-check`
+//! (static analysis) catches misconfigurations *before* cycle 0; this
+//! crate defends a run *at runtime*:
 //!
-//! * [`fault`] — a deterministic, seeded [`FaultPlan`] describing token
-//!   drops, duplicates, payload bit-flips, model stalls and host-thread
-//!   delays, applied by the engine at `TokenChannel`/`TickModel`
-//!   boundaries. Used by the built-in fault campaign (`bsim faults`) to
-//!   prove the harness survives — or fails loudly — under every fault
-//!   class.
-//! * [`watchdog`] — [`WatchdogConfig`] host-time budgets and the typed
-//!   [`SimError`] the guarded harness returns instead of hanging, with a
-//!   per-thread/per-channel [`StallReport`] progress snapshot.
+//! * [`fault`] — a deterministic, seeded [`FaultPlan`] of link faults the
+//!   MPI layer applies to its `NetConfig`, plus the fault vocabulary of
+//!   the `bsim faults` survival matrix.
 //! * [`snapshot`] — the [`Snapshot`] trait (serde-`Value`-based
 //!   save/restore) models and reports implement so runs can be
 //!   checkpointed.
 //! * [`ckpt`] — the versioned on-disk [`CkptStore`] behind
 //!   `bsim fig --resume <ckpt>`.
+//! * [`digest`] — the canonical FNV-1a [`content_hash`] that keys both
+//!   checkpoint entries and the svc result store.
 //! * [`retry`] — [`RetryPolicy`] with exponential backoff and the
 //!   [`CellOutcome`] rows resilient sweeps record instead of aborting.
 //! * [`guard`] — bsim-guard hardening primitives: the [`crc32`] the
 //!   dist wire protocol and svc result store stamp over payloads,
 //!   seeded-jittered [`Backoff`], and the per-rank circuit [`Breaker`]
 //!   the dist launcher arms against flapping ranks.
+//! * [`peers`] — the [`PeerWatchdog`] host-time liveness view the dist
+//!   launcher keeps over its worker processes.
 //!
-//! Config sanity is linted through `bsim-check` diagnostics under the
-//! `RS0xx` codes (see `crates/check/README.md`), and runtime events flow
-//! through `bsim-telemetry` counters (`fault.injected.*`,
-//! `host.resilience.*`).
-//!
-//! This crate sits *below* the engine (the engine applies the plans and
-//! budgets), so it holds data types and policies only — the executable
-//! fault campaign lives in `bsim-core::campaign`.
+//! It holds data types and policies only — the executable fault
+//! campaign lives in `bsim-core::campaign`.
 
 pub mod ckpt;
+pub mod digest;
 pub mod fault;
 pub mod guard;
 pub mod peers;
 pub mod retry;
 pub mod snapshot;
-pub mod watchdog;
 
 pub use ckpt::{CkptStore, CKPT_VERSION};
+pub use digest::content_hash;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use guard::{crc32, Backoff, Breaker, BreakerState};
 pub use peers::PeerWatchdog;
 pub use retry::{CellOutcome, RetryPolicy};
 pub use snapshot::{CkptError, Snapshot};
-pub use watchdog::{ChannelProgress, SimError, StallReport, ThreadProgress, WatchdogConfig};

@@ -1,7 +1,6 @@
 //! Host-time liveness tracking for remote peers.
 //!
-//! The engine watchdog ([`crate::watchdog`]) guards threads inside one
-//! process; a distributed launcher needs the same verdict about *other
+//! A distributed launcher needs a liveness verdict about *other
 //! processes*, where the only observable signals are frames arriving on
 //! a socket and the OS reporting the child exited. [`PeerWatchdog`]
 //! folds both into one liveness view: every received frame is a

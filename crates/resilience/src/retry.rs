@@ -1,7 +1,7 @@
 //! Per-cell retry with exponential backoff.
 //!
 //! Long sweeps run dozens of independent cells; one poisoned cell (a
-//! model panic, a watchdog trip) should not abort the figure. A
+//! model panic, an MPI deadlock teardown) should not abort the figure. A
 //! [`RetryPolicy`] re-runs a failing cell a bounded number of times
 //! with exponential host-time backoff, and the sweep records a
 //! [`CellOutcome`] row — either the value or a typed

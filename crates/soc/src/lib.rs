@@ -21,7 +21,6 @@
 //! limitation the paper keeps returning to: *FireSim only has DDR3*.
 
 pub mod configs;
-pub mod partition;
 pub mod preflight;
 pub mod runner;
 

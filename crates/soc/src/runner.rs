@@ -57,8 +57,8 @@ impl TimingCore for CoreInst {
 
 impl CoreInst {
     /// `(skipped_cycles, spans)` the timing model bulk-advanced past
-    /// instead of stepping — the trace-driven analogue of the harness
-    /// quiescence fast-forward (see `TickModel::next_activity`).
+    /// instead of stepping: the cores' `stall_to` clock jumps over
+    /// quiescent cycles.
     fn ff_stats(&self) -> (u64, u64) {
         match self {
             CoreInst::InOrder(c) => c.ff_stats(),
@@ -264,7 +264,7 @@ impl Soc {
     }
 
     /// The run's telemetry state, for out-of-band counters owned by
-    /// layers above the SoC (MPI ranks, the engine harness).
+    /// layers above the SoC (MPI ranks).
     pub fn telemetry_mut(&mut self) -> &mut Telemetry {
         &mut self.telemetry
     }

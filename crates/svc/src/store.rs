@@ -443,7 +443,7 @@ mod tests {
     fn unchecksummed_legacy_entries_are_dropped_with_sv005() {
         let path = tmp("legacy");
         // A pre-guard store: raw tree, no {"crc", "tree"} wrapper.
-        std::fs::write(&path, r#"{"version":1,"cells":{"old":{"cycles":9}}}"#).unwrap();
+        std::fs::write(&path, r#"{"version":2,"cells":{"old":{"cycles":9}}}"#).unwrap();
         let (store, report) = ResultStore::open(&path);
         assert!(store.is_empty(), "unverifiable entries must not be served");
         assert!(report.has_code("SV005"), "{report}");

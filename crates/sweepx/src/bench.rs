@@ -1,5 +1,4 @@
-//! Wall-clock ablation of the multi-lane sweep kernel (`bsim bench
-//! --sweepx`).
+//! Wall-clock ablation of the multi-lane sweep kernel (`bsim bench`).
 //!
 //! Three rows over the same cache-tuning config grid running NPB CG:
 //!
@@ -248,9 +247,9 @@ mod tests {
         };
         let ab = run_ablation(2, 4, wl);
         assert!(ab.bit_identical, "lane sweep must match scalar bit-for-bit");
-        // Speedup floors are gated at calibrated scale by `bsim bench
-        // --sweepx`; a 4-cell debug-build grid only has to stay in the
-        // same ballpark as scalar under host noise.
+        // Speedup floors are gated at calibrated scale by `bsim bench`;
+        // a 4-cell debug-build grid only has to stay in the same
+        // ballpark as scalar under host noise.
         assert!(
             ab.lane_speedup > 0.75,
             "lane sweep fell far behind scalar on a 4-cell grid ({:.2}x)",

@@ -16,7 +16,7 @@
 //!   quantum while per-lane cache tags, LRU state, DRAM bank/row
 //!   state, and stat counters live in each lane's own `Soc`. Full
 //!   replay is **bit-identical** to the scalar path, A/B-checked in
-//!   tests and in `bsim bench --sweepx`.
+//!   tests and in `bsim bench`.
 //! * **Lane grouping** ([`TraceKey`], [`partition`]) decides which
 //!   grid cells may share a recording: configs agree on rank count and
 //!   on everything the *functional* side observes (SIMD lanes,
@@ -30,7 +30,7 @@
 //!
 //! [`figure_plan_lanes`] mirrors `bsim_core`'s figure plan on top of
 //! the lane kernel (`bsim fig --lanes N [--sample]`), and
-//! [`run_ablation`] is the `bsim bench --sweepx` harness proving the
+//! [`run_ablation`] is the `bsim bench` harness proving the
 //! ≥10x grid speedup with the correctness evidence attached.
 
 pub mod bench;

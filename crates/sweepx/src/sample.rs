@@ -42,7 +42,7 @@ pub const SIG_DIM: usize = 8;
 pub type Signature = [f64; SIG_DIM];
 
 /// Sampling budget knobs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, serde::Serialize)]
 pub struct SampleCfg {
     /// Cluster-count cap; the effective k is
     /// `min(max_clusters, ceil(sqrt(segments)))`.

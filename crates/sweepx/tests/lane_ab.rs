@@ -5,7 +5,9 @@
 //! `host.sweep.*` telemetry counters riding the JSON/CSV exports.
 
 use bsim_core::experiments::{figure_plan, Parallelism, Sizes};
-use bsim_core::{run_grid_chunks_metered, run_plan_with, CellOutcome, CkptStore, RetryPolicy};
+use bsim_core::{
+    plan_digest, run_grid_chunks_metered, run_plan_with, CellOutcome, CkptStore, RetryPolicy,
+};
 use bsim_mpi::NetConfig;
 use bsim_resilience::fault::{FaultKind, FaultPlan, FaultTarget};
 use bsim_soc::{configs, SocConfig, TelemetryConfig};
@@ -193,8 +195,9 @@ fn sampled_replay_is_deterministic_and_within_bounds() {
     }
 }
 
-/// The lane plan and the scalar plan share stable subfigure keys, so
-/// `--ckpt`/`--resume` interoperate: a store written by the lane plan
+/// The exact lane plan and the scalar plan share stable subfigure keys
+/// and the same [`plan_digest`], so `--ckpt`/`--resume` interoperate: a
+/// store written by the lane plan
 /// (through `save_atomic`/`load`, the CLI's on-disk round trip) answers
 /// the scalar plan without resimulating a single cell.
 #[test]
@@ -205,8 +208,9 @@ fn ckpt_resume_interops_between_lane_and_scalar_plans() {
 
     let lane_plan =
         figure_plan_lanes("6", sizes, par, LaneOpts::default()).expect("fig 6 exists on lanes");
+    let digest = plan_digest(&sizes, None);
     let mut store = CkptStore::new();
-    let lane_out = run_plan_with(lane_plan, &policy, Some(&mut store), |_| {})
+    let lane_out = run_plan_with(lane_plan, digest, &policy, Some(&mut store), |_| {})
         .expect("lane plan checkpoints cleanly");
     assert!(lane_out.iter().all(|(_, o)| o.is_ok()));
 
@@ -216,7 +220,7 @@ fn ckpt_resume_interops_between_lane_and_scalar_plans() {
     std::fs::remove_file(&path).ok();
 
     let scalar_plan = figure_plan("6", sizes, par).expect("fig 6 exists scalar");
-    let scalar_out = run_plan_with(scalar_plan, &policy, Some(&mut resumed), |_| {})
+    let scalar_out = run_plan_with(scalar_plan, digest, &policy, Some(&mut resumed), |_| {})
         .expect("scalar plan resumes cleanly");
     for ((lk, lo), (sk, so)) in lane_out.iter().zip(&scalar_out) {
         assert_eq!(lk, sk, "subfigure keys must match between plans");

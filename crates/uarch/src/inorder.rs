@@ -136,20 +136,6 @@ impl InOrderCore {
         (self.ff_skipped_cycles, self.ff_spans)
     }
 
-    /// Quiescence hint in `TickModel::next_activity` terms: the
-    /// earliest future cycle at which an already-issued
-    /// operation completes (store-buffer drain or an unpipelined unit
-    /// freeing). `None` when nothing is in flight — absent new work the
-    /// core is fully idle.
-    pub fn next_activity(&self) -> Option<u64> {
-        let drain = self.store_buffer.peek().map(|&Reverse(c)| c);
-        let unpiped = (self.unpipelined_free > self.cycle).then_some(self.unpipelined_free);
-        match (drain.filter(|&c| c > self.cycle), unpiped) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
     fn new_issue_cycle(&mut self) {
         self.cycle += 1;
         self.issued_this_cycle = 0;

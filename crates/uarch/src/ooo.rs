@@ -212,22 +212,6 @@ impl OooCore {
         (self.ff_skipped_cycles, self.ff_spans)
     }
 
-    /// Quiescence hint in `TickModel::next_activity` terms: the earliest
-    /// future cycle at which an in-flight op leaves the window (ROB head
-    /// retire, LDQ/STQ drain). `None` when the window is empty.
-    pub fn next_activity(&self) -> Option<u64> {
-        let now = self.cycles();
-        [
-            self.rob.front().copied(),
-            self.ldq.front().copied(),
-            self.stq.front().copied(),
-        ]
-        .into_iter()
-        .flatten()
-        .filter(|&c| c > now)
-        .min()
-    }
-
     /// Records a bulk clock jump of `d` cycles: one cycle is stepped,
     /// `d - 1` quiescent ones are skipped.
     fn note_jump(&mut self, d: u64) {

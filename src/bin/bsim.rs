@@ -23,34 +23,25 @@
 //!                                   # process-kill row spawning real
 //!                                   # workers; --in-process skips it);
 //!                                   # deny exits non-zero on any miss
-//! bsim check [--deny-warnings] [--json] [--list] [--proto] [--plans]
+//! bsim check [--deny-warnings] [--json] [--list] [--proto]
 //!            [--source] [platform ...]
-//!                                   # static preflight: model-graph +
-//!                                   # config lints, before any cycle;
-//!                                   # --proto model-checks the svc/dist
-//!                                   # wire protocols, --plans lints a
-//!                                   # catalog of partition plans for
-//!                                   # cross-rank deadlock, --source
-//!                                   # audits the workspace sources
-//! bsim bench [--json] [--out FILE] [--baseline FILE] [--iters N]
-//!            [--sweepx]
-//!                                   # in-process engine micro-timings
-//!                                   # (host perf, not target cycles);
-//!                                   # --baseline compares cycles/sec and
-//!                                   # exits non-zero on a >20% regression;
-//!                                   # --sweepx times the scalar grid vs
-//!                                   # lane-sweep vs sampled ablation
+//!                                   # static preflight: config lints,
+//!                                   # before any cycle; --proto
+//!                                   # model-checks the svc/dist wire
+//!                                   # protocols, --source audits the
+//!                                   # workspace sources
+//! bsim bench [--json] [--out FILE] [--baseline FILE]
+//!                                   # the scalar grid vs lane-sweep vs
+//!                                   # sampled ablation (host perf, not
+//!                                   # target cycles); --baseline compares
+//!                                   # cycles/sec and exits non-zero on a
+//!                                   # >20% regression
 //! bsim dist [--ranks N] [--figs 1,2] [--smoke] [--store FILE] [--json]
 //!           [--kill-rank R --kill-after K]
 //!                                   # fan a cell sweep across N worker
-//!                                   # processes over socket token links;
-//!                                   # --kill-rank SIGKILLs a worker mid-
-//!                                   # sweep to exercise recovery
-//! bsim dist --graph-demo CYCLES [--ranks N] [--ring N] [--latency L]
-//!           [--quantum Q] [--seed N]
-//!                                   # partition the demo ring across N
-//!                                   # processes and prove the distributed
-//!                                   # schedule bit-identical to Harness
+//!                                   # processes; --kill-rank SIGKILLs a
+//!                                   # worker mid-sweep to exercise
+//!                                   # recovery
 //! bsim serve [--addr H:P] [--store FILE] [--workers N] [--budget N]
 //!            [--par seq|auto|N] [--dist-ranks N]
 //!                                   # bsimd: simulation-as-a-service
@@ -72,9 +63,8 @@ use silicon_bridge::core::experiments::{self, Sizes};
 use silicon_bridge::core::table;
 use silicon_bridge::core::tuning::choose_best_model;
 use silicon_bridge::core::{run_campaign, run_figure_with, CkptStore, Parallelism, RetryPolicy};
-use silicon_bridge::dist::launcher::{run_graph_demo, run_sweep, KillSpec, LaunchOpts};
+use silicon_bridge::dist::launcher::{run_sweep, KillSpec, LaunchOpts};
 use silicon_bridge::dist::{faults as dist_faults, worker as dist_worker, WireCell};
-use silicon_bridge::engine::{Harness, TickModel, Wire};
 use silicon_bridge::mpi::NetConfig;
 use silicon_bridge::resilience::CellOutcome;
 use silicon_bridge::soc::{configs, Soc, SocConfig};
@@ -96,11 +86,10 @@ fn usage() -> ! {
          [--lanes N] [--sample]\n  \
          bsim micro <kernel> [platform]\n  bsim tune\n  \
          bsim faults [--seed N] [--deny-unsurvived] [--in-process] [--guard]\n  \
-         bsim check [--deny-warnings] [--json] [--list] [--proto] [--plans] [--source] [platform ...]\n  \
+         bsim check [--deny-warnings] [--json] [--list] [--proto] [--source] [platform ...]\n  \
          bsim scrub --store FILE\n  \
-         bsim bench [--json] [--out FILE] [--baseline FILE] [--iters N] [--sweepx]\n  \
+         bsim bench [--json] [--out FILE] [--baseline FILE]\n  \
          bsim dist [--ranks N] [--figs 1,2] [--smoke] [--store FILE] [--json] [--kill-rank R --kill-after K]\n  \
-         bsim dist --graph-demo CYCLES [--ranks N] [--ring N] [--latency L] [--quantum Q] [--seed N]\n  \
          bsim serve [--addr H:P] [--store FILE] [--workers N] [--budget N] [--par seq|auto|N] [--dist-ranks N]\n       \
          [--conn-workers N] [--conn-backlog N] [--queue-cap N] [--deadline-ms N] [--io-timeout-secs N]\n  \
          bsim submit ADDR fig <id> [--smoke] [--seed N] [--wait]\n  \
@@ -146,7 +135,6 @@ fn run_check(args: &[String]) -> ! {
             ("tlb", check::rules::tlb_lints().codes()),
             ("in-order core", check::rules::inorder_lints().codes()),
             ("ooo core", check::rules::ooo_lints().codes()),
-            ("engine schedule", check::rules::engine_lints().codes()),
             ("soc", silicon_bridge::soc::preflight::soc_lints().codes()),
             ("guard", check::guard::guard_lints().codes()),
         ];
@@ -156,28 +144,19 @@ fn run_check(args: &[String]) -> ! {
             }
         }
         println!(
-            "  MG001-MG006 [model graph] wiring analysis (zero-latency wires, tokenless cycles,\n          \
-             fan-in conflicts, dangling ports, undersized channels, unconsumed outputs)\n  \
-             CL040-CL045 [hierarchy] cross-level consistency and monotonicity\n  \
+            "  CL040-CL045 [hierarchy] cross-level consistency and monotonicity\n  \
              NC001   [network] degenerate link bandwidth saturates to 'never delivers'\n  \
              NC002   [network] zero-latency link with finite bandwidth: timing model is vacuous\n  \
              WL001   [workloads] zero-valued workload size degenerates the benchmark\n  \
-             RS001-RS004 [fault plan] out-of-range fault targets/cycles, duplicate events,\n          \
-             bit index past the token width\n  \
-             RS010-RS011 [watchdog] zero stall budget, poll period at or above the budget\n  \
              SV000   [service] request body is not valid JSON / lacks required fields\n  \
              SV001   [service] request references an unknown figure, preset, platform, or kernel\n  \
              SV002   [service] request cell count exceeds the per-request budget\n  \
              SV003   [service] result-store version mismatch: stale entries ignored, not served\n  \
              SV004   [service] torn/unreadable result store quarantined on restart\n  \
              SV005   [service] entry checksum missing/mismatched: quarantined, not served\n  \
-             DL001-DL006 [partition plan] rank bounds, orphan models, empty ranks, cut latency\n          \
-             vs quantum, dangling relay endpoints\n  \
              PV001-PV007 [protocol] transition-table model checking: unreachable states,\n          \
              unhandled frames, joint deadlock, no quiesced path, table shape, fault\n          \
              handling, state-space truncation (--proto)\n  \
-             DD001-DD004 [distributed deadlock] cross-rank token cycles, sub-quantum cycle\n          \
-             slack, missing return path, fast-forward licensing holes (--plans)\n  \
              AU001-AU004 [source audit] panicking unwraps, expect on hot paths, HashMap-order\n          \
              results, host clocks in virtual-time crates (--source; AU000 notes waivers)\n  \
              CL080   [lane sweep] lane group mixes trace-incompatible configs (ranks/SIMD/\n          \
@@ -224,31 +203,6 @@ fn run_check(args: &[String]) -> ! {
             report.merge(explored.report);
         }
     }
-    if args.iter().any(|a| a == "--plans") {
-        // Cross-rank deadlock analysis over a catalog of partition
-        // shapes the dist/soc layers actually produce: every ring size
-        // and rank split the demos reach, at the default 16-cycle link
-        // latency and quantum (latency >= quantum keeps the rank cycle
-        // out of the sub-quantum warning band).
-        let mut plans = 0usize;
-        for (cores, ranks) in [
-            (2, 1),
-            (2, 2),
-            (4, 1),
-            (4, 2),
-            (4, 4),
-            (6, 2),
-            (6, 3),
-            (8, 2),
-            (8, 4),
-            (8, 8),
-        ] {
-            let (_, r) = silicon_bridge::soc::partition::plan_cores(cores, ranks, 16, 16);
-            report.merge(r);
-            plans += 1;
-        }
-        println!("plans: {plans} partition shapes analyzed");
-    }
     if args.iter().any(|a| a == "--source") {
         let audit = check::audit::audit_workspace();
         println!(
@@ -271,114 +225,10 @@ fn run_check(args: &[String]) -> ! {
     std::process::exit(if failed { 1 } else { 0 })
 }
 
-/// Free-running compute model for the host-perf benches: one multiply
-/// per cycle, never idle. Measures the raw tick-loop rate.
-struct Lfsr {
-    state: u64,
-}
-
-impl TickModel for Lfsr {
-    fn num_inputs(&self) -> usize {
-        1
-    }
-    fn num_outputs(&self) -> usize {
-        1
-    }
-    fn tick(&mut self, cycle: u64, inputs: &[u64], outputs: &mut [u64]) {
-        self.state = self
-            .state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(inputs[0] ^ cycle);
-        outputs[0] = self.state >> 13;
-    }
-}
-
-/// Mostly-idle model for the fast-forward benches: pulses once per
-/// `period` cycles, absorbs incoming tokens, and declares its quiescence
-/// window via `next_activity` so the harness can bulk-advance.
-struct Beacon {
-    period: u64,
-    next: u64,
-    state: u64,
-}
-
-impl TickModel for Beacon {
-    fn num_inputs(&self) -> usize {
-        1
-    }
-    fn num_outputs(&self) -> usize {
-        1
-    }
-    fn tick(&mut self, cycle: u64, inputs: &[u64], outputs: &mut [u64]) {
-        if inputs[0] != 0 {
-            self.state = self
-                .state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(inputs[0]);
-        }
-        if cycle >= self.next {
-            outputs[0] = self.state | 1;
-            self.next = cycle + self.period;
-        } else {
-            outputs[0] = 0;
-        }
-    }
-    fn next_activity(&self) -> Option<u64> {
-        Some(self.next)
-    }
-}
-
-fn lfsr_ring(n: usize, latency: u64) -> (Vec<Lfsr>, Vec<Wire>) {
-    let models = (0..n)
-        .map(|i| Lfsr {
-            state: i as u64 + 1,
-        })
-        .collect();
-    (models, ring_wires(n, latency))
-}
-
-fn beacon_ring(n: usize, period: u64) -> (Vec<Beacon>, Vec<Wire>) {
-    let models = (0..n)
-        .map(|i| Beacon {
-            period,
-            next: 0,
-            state: i as u64 + 1,
-        })
-        .collect();
-    (models, ring_wires(n, 1))
-}
-
-fn ring_wires(n: usize, latency: u64) -> Vec<Wire> {
-    (0..n)
-        .map(|i| Wire {
-            from_model: i,
-            from_port: 0,
-            to_model: (i + 1) % n,
-            to_port: 0,
-            latency,
-        })
-        .collect()
-}
-
 struct BenchResult {
     bench: &'static str,
     mean_ns: f64,
     cycles_per_sec: f64,
-}
-
-/// One warm-up iteration, then the mean of `iters` timed ones.
-fn measure(bench: &'static str, cycles: u64, iters: u32, f: &mut dyn FnMut()) -> BenchResult {
-    f();
-    let t0 = std::time::Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    let mean_s = t0.elapsed().as_secs_f64() / iters as f64;
-    BenchResult {
-        bench,
-        mean_ns: mean_s * 1e9,
-        cycles_per_sec: cycles as f64 / mean_s,
-    }
 }
 
 /// Pulls `(bench, cycles_per_sec)` pairs back out of a `--json` report.
@@ -404,15 +254,18 @@ fn baseline_rates(text: &str) -> Vec<(String, f64)> {
     out
 }
 
-/// `bsim bench --sweepx`: the multi-lane sweep ablation. Times the
-/// scalar config-grid baseline against the record-once/replay-many lane
-/// kernel (full and sampled), verifies the full replay bit-identical to
-/// the scalar runs, gates the sampled error and its reported bound, and
-/// emits the three rows in the same `bsim-bench-v1` schema the baseline
-/// gate diffs. Speedup floors here are deliberately far below the
-/// measured ~10-60x so a loaded CI host cannot flake the gate.
-fn run_bench_sweepx(args: &[String], json: bool) -> ! {
+/// `bsim bench`: the multi-lane sweep ablation. Times the scalar
+/// config-grid baseline against the record-once/replay-many lane kernel
+/// (full and sampled), verifies the full replay bit-identical to the
+/// scalar runs, gates the sampled error and its reported bound, and
+/// emits the three rows in the `bsim-bench-v1` schema (`{bench, mean_ns,
+/// cycles_per_sec}` per entry) that `--baseline FILE` diffs, failing the
+/// run when any row has lost more than 20% of its cycles/sec. Speedup
+/// floors here are deliberately far below the measured ~10-60x so a
+/// loaded CI host cannot flake the gate.
+fn run_bench(args: &[String]) -> ! {
     use silicon_bridge::workloads::npb::cg::CgConfig;
+    let json = args.iter().any(|a| a == "--json");
     // Calibrated so the measured uop fraction lands under 5%: at 240 CG
     // iterations each stratum's fixed warm-up cost amortizes over ~2x
     // more occurrences than the default workload offers, and the full
@@ -460,8 +313,8 @@ fn run_bench_sweepx(args: &[String], json: bool) -> ! {
     finish_bench(args, json, &results)
 }
 
-/// Shared tail of the bench subcommands: render/emit the rows, then
-/// apply the `--baseline` regression gate.
+/// Renders/emits the bench rows, then applies the `--baseline`
+/// regression gate.
 fn finish_bench(args: &[String], json: bool, results: &[BenchResult]) -> ! {
     if json {
         let entries: Vec<String> = results
@@ -534,77 +387,6 @@ fn finish_bench(args: &[String], json: bool, results: &[BenchResult]) -> ! {
         }
     }
     std::process::exit(0)
-}
-
-/// `bsim bench`: quick in-process host-performance timings of the token
-/// engine, Criterion-free so CI can run them in seconds. With `--json`
-/// the results land in the `BENCH_engine.json` schema
-/// (`{bench, mean_ns, cycles_per_sec}` per entry); `--baseline FILE`
-/// compares against an earlier report and fails the run when any bench
-/// has lost more than 20% of its cycles/sec.
-fn run_bench(args: &[String]) -> ! {
-    let json = args.iter().any(|a| a == "--json");
-    if args.iter().any(|a| a == "--sweepx") {
-        run_bench_sweepx(args, json);
-    }
-    let iters: u32 = match flag_value(args, "--iters") {
-        Some(n) => n.parse().unwrap_or_else(|_| {
-            eprintln!("--iters takes an iteration count");
-            std::process::exit(2);
-        }),
-        None => 5,
-    };
-    const SEQ_CYCLES: u64 = 200_000;
-    const PAR_CYCLES: u64 = 20_000;
-    const QUANTUM: usize = 32;
-
-    // The fast-forward pair must agree bit-for-bit before the timing
-    // difference means anything.
-    let (m, w) = beacon_ring(4, 512);
-    let ff: Vec<u64> = Harness::new(m, w)
-        .run(SEQ_CYCLES)
-        .iter()
-        .map(|b| b.state)
-        .collect();
-    let (m, w) = beacon_ring(4, 512);
-    let noff: Vec<u64> = Harness::new(m, w)
-        .with_fast_forward(false)
-        .run(SEQ_CYCLES)
-        .iter()
-        .map(|b| b.state)
-        .collect();
-    assert_eq!(ff, noff, "fast-forward changed model state");
-
-    let results = vec![
-        measure("sequential_lfsr_ring_lat1", SEQ_CYCLES, iters, &mut || {
-            let (m, w) = lfsr_ring(4, 1);
-            Harness::new(m, w).run(SEQ_CYCLES);
-        }),
-        measure("sequential_beacon_ring_ff", SEQ_CYCLES, iters, &mut || {
-            let (m, w) = beacon_ring(4, 512);
-            Harness::new(m, w).run(SEQ_CYCLES);
-        }),
-        measure(
-            "sequential_beacon_ring_noff",
-            SEQ_CYCLES,
-            iters,
-            &mut || {
-                let (m, w) = beacon_ring(4, 512);
-                Harness::new(m, w).with_fast_forward(false).run(SEQ_CYCLES);
-            },
-        ),
-        measure(
-            "parallel_batched_ring_lat32",
-            PAR_CYCLES,
-            iters,
-            &mut || {
-                let (m, w) = lfsr_ring(4, 32);
-                Harness::new(m, w).run_parallel(PAR_CYCLES, QUANTUM);
-            },
-        ),
-    ];
-
-    finish_bench(args, json, &results)
 }
 
 fn main() {
@@ -716,9 +498,10 @@ fn main() {
                 }
             };
             // --lanes / --sample route the same subfigure plan through
-            // the bsim-sweepx record-once/replay-many kernel; checkpoint
-            // keys are shared with the scalar path, so --ckpt/--resume
-            // interoperate across both.
+            // the bsim-sweepx record-once/replay-many kernel. Checkpoint
+            // keys digest the sizes and the sampling config: exact lane
+            // runs share entries with the scalar path, sampled runs never
+            // answer for exact ones (or the reverse).
             let lanes = flag_value(&args, "--lanes").map(|v| {
                 v.parse::<usize>()
                     .ok()
@@ -734,9 +517,13 @@ fn main() {
                     lanes: lanes.unwrap_or(8),
                     sample: want_sample.then(silicon_bridge::sweepx::SampleCfg::default),
                 };
+                let digest = silicon_bridge::core::plan_digest(
+                    &sizes,
+                    opts.sample.as_ref().map(serde::Serialize::to_value),
+                );
                 let plan = silicon_bridge::sweepx::figure_plan_lanes(id, sizes, par, opts)
                     .unwrap_or_else(|| usage());
-                silicon_bridge::core::run_plan_with(plan, &policy, store.as_mut(), save)
+                silicon_bridge::core::run_plan_with(plan, digest, &policy, store.as_mut(), save)
             } else {
                 run_figure_with(id, sizes, par, &policy, store.as_mut(), save)
             }
@@ -773,13 +560,12 @@ fn main() {
                 None => 42,
             };
             // `--guard` runs only the bsim-guard integrity rows (the CI
-            // guard job's fast path); the full matrix is the nine
-            // in-process classes plus the scale-out and service rows.
+            // guard job's fast path); the full matrix is the four
+            // in-process link/rank rows plus the scale-out and service rows.
             let mut matrix = if args.iter().any(|a| a == "--guard") {
                 silicon_bridge::core::campaign::SurvivalMatrix {
                     seed,
                     scenarios: Vec::new(),
-                    watchdog_trips: 0,
                 }
             } else {
                 run_campaign(seed)
@@ -933,13 +719,11 @@ fn finish_wire(result: std::io::Result<(u16, String)>) -> ! {
     }
 }
 
-/// `bsim dist`: the multi-process scale-out front end. The default mode
-/// fans a sweep of serializable cells across `--ranks` worker processes
-/// connected by socket token links; `--kill-rank`/`--kill-after` SIGKILL
-/// a worker mid-sweep so the recovery path (respawn + re-plan from the
-/// checkpoint store) is exercisable from the shell. `--graph-demo`
-/// instead partitions the demo ring across the ranks and checks the
-/// distributed schedule against the in-process `Harness` bit for bit.
+/// `bsim dist`: the multi-process scale-out front end. Fans a sweep of
+/// serializable cells across `--ranks` worker processes;
+/// `--kill-rank`/`--kill-after` SIGKILL a worker mid-sweep so the
+/// recovery path (respawn + re-plan from the checkpoint store) is
+/// exercisable from the shell.
 fn run_dist(args: &[String]) -> ! {
     let parse_num = |flag: &str, default: u64| -> u64 {
         match flag_value(args, flag) {
@@ -951,27 +735,6 @@ fn run_dist(args: &[String]) -> ! {
         }
     };
     let ranks = parse_num("--ranks", 2).max(1) as usize;
-
-    if args.iter().any(|a| a == "--graph-demo") {
-        let cycles = parse_num("--graph-demo", 400);
-        let ring = parse_num("--ring", 4).max(2) as usize;
-        let latency = parse_num("--latency", 2).max(1);
-        let quantum = parse_num("--quantum", 16).max(1) as usize;
-        let seed = parse_num("--seed", 42);
-        let opts = LaunchOpts::processes(ranks, worker_argv());
-        let out = run_graph_demo(ring, latency, quantum, cycles, seed, &opts).unwrap_or_else(|e| {
-            eprintln!("graph demo failed: {e}");
-            std::process::exit(2);
-        });
-        println!("in-process:  {}", out.reference);
-        println!("distributed: {}", out.fingerprint);
-        if out.identical() {
-            println!("bit-identical across {ranks} process(es) after {cycles} cycles");
-            std::process::exit(0)
-        }
-        eprintln!("FINGERPRINT MISMATCH: the distributed schedule diverged");
-        std::process::exit(1)
-    }
 
     let sizes = if args.iter().any(|a| a == "--smoke") {
         "smoke"

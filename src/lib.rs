@@ -2,8 +2,8 @@
 //!
 //! A pure-Rust reproduction of *"Bridging Simulation and Silicon: A
 //! Study of RISC-V Hardware and FireSim Simulation"* (SC 2025): a
-//! token-based cycle-coupled simulation stack that models the paper's
-//! FireSim targets (Rocket and BOOM SoCs with the DDR3-only FireSim
+//! direct-call timing simulation stack that models the paper's FireSim
+//! targets (Rocket and BOOM SoCs with the DDR3-only FireSim
 //! memory system) and its silicon references (Banana Pi BPI-F3 /
 //! SpacemiT K1 and MILK-V Pioneer / SG2042), runs the paper's workloads
 //! (the 40-kernel MicroBench suite, NPB CG/EP/IS/MG, the UME proxy app,
@@ -18,14 +18,14 @@
 //! | [`uarch`] | `bsim-uarch` | in-order (Rocket-like) and OoO (BOOM-like) timing cores |
 //! | [`mem`] | `bsim-mem` | caches, bus, LLC models, FR-FCFS DRAM timing |
 //! | [`telemetry`] | `bsim-telemetry` | AutoCounter/TracerV-style out-of-band counters, traces, gap reports |
-//! | [`check`] | `bsim-check` | static model-graph analysis and config lints (preflight) |
-//! | [`engine`] | `bsim-engine` | token channels, lockstep harness, sim-rate meter |
+//! | [`check`] | `bsim-check` | config lints (preflight), protocol model checking, source audit |
+//! | [`resilience`] | `bsim-resilience` | link-fault plans, checkpoint store, content hashing, retry, guard primitives |
 //! | [`soc`] | `bsim-soc` | platform catalog (Tables 4/5) and the runnable SoC |
 //! | [`mpi`] | `bsim-mpi` | deterministic virtual-time MPI over simulated cores |
 //! | [`workloads`] | `bsim-workloads` | MicroBench, NPB, UME, MD |
-//! | [`core`] | `bsim-core` | relative-speedup metrics, figure generators, tuning |
+//! | [`core`] | `bsim-core` | relative-speedup metrics, figure generators, tuning, sim-rate meter |
 //! | [`svc`] | `bsim-svc` | `bsimd` service daemon + content-addressed result cache |
-//! | [`dist`] | `bsim-dist` | multi-process scale-out: socket token links, rank partitioning, process-loss recovery |
+//! | [`dist`] | `bsim-dist` | multi-process cell fan-out with process-loss recovery |
 //! | [`sweepx`] | `bsim-sweepx` | vectorized multi-lane config sweeps and SimPoint-style sampled simulation |
 //!
 //! See `examples/quickstart.rs` for a five-minute tour, and the
@@ -35,7 +35,6 @@
 pub use bsim_check as check;
 pub use bsim_core as core;
 pub use bsim_dist as dist;
-pub use bsim_engine as engine;
 pub use bsim_isa as isa;
 pub use bsim_mem as mem;
 pub use bsim_mpi as mpi;

@@ -16,8 +16,8 @@ fn worker_argv() -> Vec<String> {
 }
 
 /// Acceptance bar: a 2-process sweep returns, per cell, exactly the
-/// bytes the in-process `WireCell::run` produces. Determinism across
-/// the process boundary is the whole point of token links.
+/// bytes the in-process `WireCell::run` produces: crossing the process
+/// boundary must not change a result.
 #[test]
 fn a_two_process_sweep_is_byte_identical_to_the_in_process_path() {
     let cells = kill_sweep_cells();
@@ -69,26 +69,8 @@ fn the_dist_cli_survives_a_mid_sweep_worker_kill() {
     assert!(stderr.contains("1 respawn(s)"), "{stderr}");
 }
 
-/// The graph demo — a partitioned model graph over socket token links,
-/// with the quiescence fast-forward active — prints matching in-process
-/// and distributed fingerprints.
-#[test]
-fn the_dist_cli_graph_demo_is_bit_identical() {
-    let out = Command::new(env!("CARGO_BIN_EXE_bsim"))
-        .args(["dist", "--graph-demo", "300", "--ranks", "2", "--ring", "4"])
-        .output()
-        .expect("bsim dist --graph-demo runs");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "graph demo failed:\n{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(stdout.contains("bit-identical"), "{stdout}");
-}
-
 /// `bsim faults` appends the scale-out and service rows (process-kill,
-/// wire-bitflip, slow-peer, store-corrupt) to the nine in-process
+/// wire-bitflip, slow-peer, store-corrupt) to the four in-process
 /// scenarios and the full matrix passes under `--deny-unsurvived`.
 #[test]
 fn the_faults_matrix_reports_scale_out_survival() {
@@ -105,5 +87,5 @@ fn the_faults_matrix_reports_scale_out_survival() {
     for row in ["process-kill", "wire-bitflip", "slow-peer", "store-corrupt"] {
         assert!(stdout.contains(row), "missing {row} row:\n{stdout}");
     }
-    assert!(stdout.contains("13/13 scenarios"), "{stdout}");
+    assert!(stdout.contains("8/8 scenarios"), "{stdout}");
 }

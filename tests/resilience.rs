@@ -1,91 +1,107 @@
-//! Cross-crate resilience tests: fault injection, watchdog teardown and
-//! checkpoint/resume exercised end to end through the public facade.
+//! Cross-crate resilience tests: checkpoint/resume exercised end to end
+//! through the public facade and the `bsim fig` CLI.
 
-use std::time::{Duration, Instant};
+use std::process::Command;
 
-use silicon_bridge::core::{run_grid_checkpointed, CkptStore, Parallelism, RetryPolicy};
-use silicon_bridge::engine::{FaultKind, FaultPlan, Harness, SimError, TickModel, Wire};
-use silicon_bridge::resilience::fault::FaultTarget;
-use silicon_bridge::resilience::{Snapshot, WatchdogConfig};
+use silicon_bridge::core::experiments::{FigureData, Sizes};
+use silicon_bridge::core::{
+    run_figure, run_grid_checkpointed, CellOutcome, CkptStore, Parallelism, RetryPolicy,
+};
+use silicon_bridge::resilience::Snapshot;
 use silicon_bridge::soc::{configs, RunReport, Soc};
-use silicon_bridge::telemetry::CounterBlock;
 use silicon_bridge::workloads::microbench;
 
-/// A minimal pass-through stage for a two-model token ring.
-#[derive(Debug)]
-struct Relay;
-
-impl TickModel for Relay {
-    fn num_inputs(&self) -> usize {
-        1
-    }
-    fn num_outputs(&self) -> usize {
-        1
-    }
-    fn tick(&mut self, cycle: u64, inputs: &[u64], outputs: &mut [u64]) {
-        outputs[0] = inputs[0].wrapping_add(cycle);
-    }
-}
-
-fn ring() -> Harness<Relay> {
-    Harness::new(
-        vec![Relay, Relay],
-        vec![
-            Wire {
-                from_model: 0,
-                from_port: 0,
-                to_model: 1,
-                to_port: 0,
-                latency: 1,
-            },
-            Wire {
-                from_model: 1,
-                from_port: 0,
-                to_model: 0,
-                to_port: 0,
-                latency: 1,
-            },
-        ],
+/// Figure 6 through the checkpointing path: `(value, attempts)`, where
+/// `attempts == 0` means the figure was replayed from `store`.
+fn fig6(sizes: Sizes, store: Option<&mut CkptStore>) -> (FigureData, u32) {
+    let mut cells = run_figure(
+        "6",
+        sizes,
+        Parallelism::Sequential,
+        &RetryPolicy::once(),
+        store,
     )
-}
-
-/// Satellite (c), part 1: a deliberately wedged channel — one token
-/// dropped mid-run — must surface as a typed `SimError::Stalled` within
-/// the watchdog budget, never as a hang.
-#[test]
-fn dropped_token_trips_typed_stall_within_budget() {
-    let plan = FaultPlan::new(7).inject(FaultTarget::Wire(0), 300, FaultKind::TokenDrop);
-    let mut tel = CounterBlock::new(true);
-    let started = Instant::now();
-    let err = ring()
-        .run_guarded(10_000, 8, &plan, WatchdogConfig::tight(), &mut tel)
-        .expect_err("a severed channel cannot complete");
-    // tight() budgets 400ms of zero progress; leave generous CI headroom
-    // while still proving the run did not wait out the full target time.
-    assert!(
-        started.elapsed() < Duration::from_secs(30),
-        "watchdog took {:?}, far beyond its budget",
-        started.elapsed()
-    );
-    match err {
-        SimError::Stalled(report) => {
-            assert_eq!(report.target_cycles, 10_000);
-            assert!(
-                report.threads.iter().all(|t| t.cycle < 10_000),
-                "every thread must have been cut short of the target"
-            );
-            assert!(
-                report.most_starved().is_some(),
-                "the stall report must name a starving channel"
-            );
-        }
-        other => panic!("expected Stalled, got {other:?}"),
+    .expect("checkpoint store is well-formed");
+    match cells.remove(0).1 {
+        CellOutcome::Ok { value, attempts } => (
+            FigureData {
+                note: None, // host-rate text, the one host-dependent field
+                ..value
+            },
+            attempts,
+        ),
+        CellOutcome::Failed { diag, .. } => panic!("fig6 failed: {diag}"),
     }
-    assert_eq!(tel.get("fault.injected.token_drop"), Some(1));
-    assert_eq!(tel.get("host.resilience.watchdog_trips"), Some(1));
 }
 
-/// Satellite (c), part 2: a checkpoint written mid-sweep resumes to
+/// A checkpoint written at one workload size must not answer a resume
+/// at another: the figure is recomputed, and matches a fresh run at the
+/// new size. A resume at the original size still replays.
+#[test]
+fn resume_at_other_sizes_recomputes_instead_of_replaying() {
+    let small = Sizes {
+        lj_cells: 2,
+        md_steps: 2,
+        ..Sizes::smoke()
+    };
+    let larger = Sizes {
+        lj_cells: 3,
+        ..small
+    };
+    let mut store = CkptStore::new();
+    let (at_small, _) = fig6(small, Some(&mut store));
+    let mut store = CkptStore::from_json(&store.to_json()).expect("wire format round-trips");
+
+    let (resumed, attempts) = fig6(larger, Some(&mut store));
+    assert!(
+        attempts > 0,
+        "a figure computed at other sizes was replayed from the checkpoint"
+    );
+    assert_eq!(resumed, fig6(larger, None).0, "recomputed figure drifted");
+    assert_ne!(resumed, at_small, "the sizes must matter to fig6");
+
+    let (replayed, attempts) = fig6(small, Some(&mut store));
+    assert_eq!(attempts, 0, "a resume at the original sizes must replay");
+    assert_eq!(replayed, at_small);
+}
+
+/// The `bsim fig` surface of the same property: a sampled `--lanes
+/// --sample` checkpoint must not be replayed by an exact `--resume`,
+/// while resuming the sampled invocation itself still replays.
+#[test]
+fn an_exact_resume_never_replays_a_sampled_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("bsim-ckpt-key-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir is writable");
+    let ckpt = dir.join("c.json");
+    let ckpt = ckpt.to_str().expect("temp path is UTF-8");
+    let bsim = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_bsim"))
+            .args(args)
+            .output()
+            .expect("bsim runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "bsim {args:?} failed:\n{stderr}");
+        stderr
+    };
+    bsim(&[
+        "fig", "5", "--smoke", "--lanes", "4", "--sample", "--ckpt", ckpt,
+    ]);
+    let exact = bsim(&["fig", "5", "--smoke", "--resume", ckpt]);
+    assert!(
+        !exact.contains("replayed from checkpoint"),
+        "an exact resume replayed the sampled figure:\n{exact}"
+    );
+    let sampled = bsim(&[
+        "fig", "5", "--smoke", "--lanes", "4", "--sample", "--resume", ckpt,
+    ]);
+    assert!(
+        sampled.contains("fig5: replayed from checkpoint"),
+        "the sampled resume recomputed:\n{sampled}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint written mid-sweep resumes to
 /// bit-identical `RunReport`s — the resumed cells replay from the store
 /// and the freshly computed ones reproduce the original run exactly.
 #[test]
