@@ -10,6 +10,7 @@
 //! | AU002 | warning  | `.expect(..)` in a designated hot-path file (wire framing, daemon dispatch, lane replay) |
 //! | AU003 | warning  | iteration over a `HashMap` binding: order is nondeterministic and must not feed results or wire frames |
 //! | AU004 | warning  | `Instant`/`SystemTime` in a virtual-time crate: host clocks break determinism |
+//! | AU005 | warning  | `std::env::var`/`var_os` in a virtual-time crate: a hidden host-dependent option, and a libc environment scan when on a hot path |
 //!
 //! Findings are waived inline with a `// bsim: allow(AU001)` comment on the
 //! same line or on the line directly above; several codes may be listed,
@@ -33,6 +34,7 @@ const UNWRAP: &str = concat!(".unw", "rap()");
 const EXPECT: &str = concat!(".exp", "ect(");
 const INSTANT: &str = concat!("Instant::", "now");
 const SYSTIME: &str = concat!("System", "Time");
+const ENV_VAR: &str = concat!("env::", "var");
 const HASHMAP_TY: &str = concat!("Hash", "Map<");
 const HASHMAP_NEW: &str = concat!("Hash", "Map::new");
 const ALLOW: &str = concat!("bsim: ", "allow(");
@@ -48,8 +50,9 @@ const HOT_PATHS: &[&str] = &[
     "crates/sweepx/src/replay.rs",
 ];
 
-/// Crates whose code runs under virtual time; host clocks are banned there
-/// (the host-rate meter in `core` carries an explicit waiver).
+/// Crates whose code runs under virtual time; host clocks (the host-rate
+/// meter in `core` carries an explicit waiver) and environment reads are
+/// banned there.
 const VIRTUAL_TIME_CRATES: &[&str] = &[
     "mem",
     "uarch",
@@ -274,6 +277,22 @@ pub fn scan_source(path: &str, text: &str, report: &mut Report, waived: &mut usi
                 report,
             );
         }
+        if vt && code.contains(ENV_VAR) {
+            emit(
+                Diagnostic::warning(
+                    "AU005",
+                    span.clone(),
+                    "environment read in a virtual-time crate: a hidden host-dependent option"
+                        .to_string(),
+                )
+                .with_help(
+                    "pass the setting in through a config or CLI flag; on a hot path the read \
+                     also costs an environment scan per call",
+                ),
+                "AU005",
+                report,
+            );
+        }
     }
 }
 
@@ -466,6 +485,22 @@ mod tests {
         assert!(r.has_code("AU004"), "{}", r.render());
         let (r, _) = scan("crates/svc/src/x.rs", &text);
         assert!(r.is_clean(), "{}", r.render());
+    }
+
+    #[test]
+    fn env_reads_flag_only_virtual_time_crates() {
+        for call in ["std::", ""] {
+            let text = format!("fn f() {{ let on = {call}{ENV_VAR}_os(\"X\").is_some(); }}\n");
+            let (r, _) = scan("crates/uarch/src/x.rs", &text);
+            assert!(r.has_code("AU005") && !r.has_errors(), "{}", r.render());
+        }
+        let text = format!("fn f() {{ let a = std::{ENV_VAR}(\"ADDR\").ok(); }}\n");
+        let (r, _) = scan("crates/dist/src/x.rs", &text);
+        assert!(r.is_clean(), "{}", r.render());
+        let waived = format!("// {ALLOW}AU005) read once at start-up\n{text}");
+        let (r, w) = scan("crates/core/src/x.rs", &waived);
+        assert!(r.is_clean(), "{}", r.render());
+        assert_eq!(w, 1);
     }
 
     #[test]

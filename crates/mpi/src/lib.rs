@@ -19,7 +19,7 @@
 //!   `max(entry times) + cost(n, bytes)` — the usual tree-cost model.
 //!
 //! Compute between MPI calls is charged by feeding micro-ops to the
-//! rank's simulated core ([`RankCtx::consume`] / [`RankCtx::consume_batch`]),
+//! rank's simulated core ([`RankCtx::consume`] / [`RankCtx::consume_stream`]),
 //! which shares the SoC's L2/DRAM with the other ranks — so memory
 //! contention across ranks (the effect behind the paper's MG scaling
 //! observation in §5.2.2) is modeled by the same hierarchy state.

@@ -161,13 +161,16 @@ impl Recorder {
         }
     }
 
-    pub(crate) fn consume(&mut self, rank: usize, uops: &[MicroOp]) {
+    /// Appends the micro-ops `gen` emits to the arena as one
+    /// [`Ev::Consume`] segment (an empty one when it emits nothing).
+    pub(crate) fn consume_with(&mut self, rank: usize, gen: impl FnOnce(&mut dyn FnMut(&MicroOp))) {
         let start = self.trace.uops.len();
-        self.trace.uops.extend_from_slice(uops);
+        let uops = &mut self.trace.uops;
+        gen(&mut |u: &MicroOp| uops.push(*u));
         self.trace.events.push(Ev::Consume {
             rank: rank as u32,
             start,
-            len: uops.len(),
+            len: self.trace.uops.len() - start,
         });
     }
 

@@ -189,23 +189,25 @@ impl RankCtx {
 
     /// Feeds one micro-op to this rank's simulated core.
     pub fn consume(&mut self, uop: &MicroOp) {
-        if let Some(rec) = &self.shared.rec {
-            rec.lock().consume(self.rank, std::slice::from_ref(uop));
-            return;
-        }
-        self.shared.soc.lock().consume(self.rank, uop);
+        self.consume_stream(|sink| sink(uop));
     }
 
-    /// Feeds a batch of micro-ops under one lock acquisition.
-    pub fn consume_batch(&mut self, uops: &[MicroOp]) {
+    /// Feeds every micro-op that `gen` passes to its sink to this rank's
+    /// simulated core, under one lock acquisition and with no buffer in
+    /// between. In recording mode the whole call becomes one
+    /// [`crate::Ev::Consume`] segment, even when `gen` emits nothing.
+    ///
+    /// Holding the lock for the whole of `gen` is safe: `gen` cannot
+    /// reach this `RankCtx` (it is mutably borrowed here), and every
+    /// other rank is parked on the turn while this one runs.
+    pub fn consume_stream(&mut self, gen: impl FnOnce(&mut dyn FnMut(&MicroOp))) {
+        let rank = self.rank;
         if let Some(rec) = &self.shared.rec {
-            rec.lock().consume(self.rank, uops);
+            rec.lock().consume_with(rank, gen);
             return;
         }
         let mut soc = self.shared.soc.lock();
-        for u in uops {
-            soc.consume(self.rank, u);
-        }
+        gen(&mut |u: &MicroOp| soc.consume(rank, u));
     }
 
     /// Advances this rank's clock by `cycles` of opaque work (used for
@@ -632,6 +634,7 @@ impl MpiWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Ev;
     use bsim_soc::configs;
 
     fn world<F: Fn(&mut RankCtx) + Sync>(ranks: usize, f: F) -> WorldReport {
@@ -776,6 +779,79 @@ mod tests {
         });
         assert!(rep.run.retired >= 1000, "both ranks' uops must be counted");
         assert!(rep.run.cycles >= 500);
+    }
+
+    /// A mixed stream: ALU chains, loads over a few lines, branches.
+    fn mixed_uops(n: usize) -> Vec<MicroOp> {
+        (0..n as u64)
+            .map(|i| match i % 3 {
+                0 => MicroOp::alu(0x1_0000 + (i % 16) * 4, Some(5), [Some(5), None, None]),
+                1 => MicroOp::load(0x1_0040, 0x20_0000 + (i % 97) * 64, Some(6), None),
+                _ => MicroOp::cond_branch(0x1_0080, i % 5 != 0, 0x1_0000, [None; 3]),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn consume_stream_times_like_per_op_consume() {
+        let uops = mixed_uops(3_000);
+        let program = |streamed: bool| {
+            let uops = &uops;
+            move |ctx: &mut RankCtx| {
+                if streamed {
+                    ctx.consume_stream(|sink| uops.iter().for_each(&mut *sink));
+                    ctx.consume_stream(|_| {});
+                } else {
+                    uops.iter().for_each(|u| ctx.consume(u));
+                }
+                ctx.barrier();
+            }
+        };
+        let json = |r: &WorldReport| serde_json::to_string(r).expect("serializable");
+        let per_op = world(2, program(false));
+        let streamed = world(2, program(true));
+        assert!(per_op.run.retired >= 6_000);
+        assert_eq!(json(&streamed), json(&per_op));
+    }
+
+    #[test]
+    fn consume_stream_records_one_segment_per_call() {
+        let uops = mixed_uops(500);
+        let (_, trace) =
+            MpiWorld::record(configs::rocket1(2), 2, NetConfig::shared_memory(), |ctx| {
+                ctx.consume_stream(|sink| uops.iter().for_each(&mut *sink));
+                ctx.consume_stream(|_| {});
+                ctx.consume_stream(|sink| uops[..7].iter().for_each(&mut *sink));
+                ctx.barrier();
+            });
+        let segs: Vec<(usize, usize, usize)> = trace
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                Ev::Consume { rank, start, len } => Some((rank as usize, start, len)),
+                _ => None,
+            })
+            .collect();
+        let lens: Vec<usize> = segs.iter().map(|s| s.2).collect();
+        assert_eq!(
+            lens,
+            [500, 0, 7, 500, 0, 7],
+            "one segment per call, empty included"
+        );
+        let mut next = 0;
+        for &(rank, start, len) in &segs {
+            assert_eq!(start, next, "segments tile the arena contiguously");
+            next += len;
+            assert!(
+                trace.uops[start..start + len]
+                    .iter()
+                    .zip(&uops[..len])
+                    .all(|(a, b)| a.pc == b.pc && a.mem_addr == b.mem_addr),
+                "rank {rank} segment at {start} holds the streamed ops"
+            );
+        }
+        assert_eq!(next, trace.uops.len());
+        assert_eq!(lens.iter().sum::<usize>(), trace.uops.len());
     }
 
     #[test]

@@ -166,12 +166,6 @@ impl TimingCore for InOrderCore {
                 .complete_at
                 .saturating_sub(self.cycle + self.l1i_hit_latency);
             if extra > 0 {
-                if std::env::var_os("BSIM_DEBUG_FETCH").is_some() && extra > 1000 {
-                    eprintln!(
-                        "ifetch stall: pc={:#x} cycle={} complete={} extra={}",
-                        uop.pc, self.cycle, out.complete_at, extra
-                    );
-                }
                 self.stats.fetch_stall_cycles += extra;
                 self.stall_to(self.cycle + extra);
             }

@@ -306,8 +306,10 @@ pub fn rank_base(rank: usize) -> u64 {
     0x1000_0000 + ((rank as u64) << 26)
 }
 
-/// Runs `f` with a [`TraceGen`] buffering into a vector, then feeds the
-/// whole segment to the rank's core under one lock acquisition. The
+/// Runs `f` with a [`TraceGen`] whose sink is the rank's core: every
+/// micro-op goes straight into timing (or, when recording, into the
+/// trace arena) as it is generated, with no intermediate buffer, under
+/// one lock acquisition (see [`bsim_mpi::RankCtx::consume_stream`]). The
 /// platform's vector width is applied automatically, so the same
 /// workload code emits scalar ops on the FireSim targets (which run
 /// "without enabling vector units", §3.1.1) and vector ops on the
@@ -315,13 +317,10 @@ pub fn rank_base(rank: usize) -> u64 {
 pub fn with_trace(ctx: &mut bsim_mpi::RankCtx, f: impl FnOnce(&mut TraceGen<'_>)) {
     let lanes = ctx.simd_lanes();
     let overhead = ctx.compiler_overhead_per_mille();
-    let mut buf: Vec<MicroOp> = Vec::with_capacity(1024);
-    {
-        let mut sink = |u: &MicroOp| buf.push(*u);
-        let mut g = TraceGen::with_lanes(&mut sink, lanes).with_compiler_overhead(overhead);
+    ctx.consume_stream(|sink| {
+        let mut g = TraceGen::with_lanes(sink, lanes).with_compiler_overhead(overhead);
         f(&mut g);
-    }
-    ctx.consume_batch(&buf);
+    });
 }
 
 #[cfg(test)]

@@ -157,8 +157,9 @@ fn run_check(args: &[String]) -> ! {
              PV001-PV007 [protocol] transition-table model checking: unreachable states,\n          \
              unhandled frames, joint deadlock, no quiesced path, table shape, fault\n          \
              handling, state-space truncation (--proto)\n  \
-             AU001-AU004 [source audit] panicking unwraps, expect on hot paths, HashMap-order\n          \
-             results, host clocks in virtual-time crates (--source; AU000 notes waivers)\n  \
+             AU001-AU005 [source audit] panicking unwraps, expect on hot paths, HashMap-order\n          \
+             results, host clocks and env reads in virtual-time crates (--source; AU000\n          \
+             notes waivers)\n  \
              CL080   [lane sweep] lane group mixes trace-incompatible configs (ranks/SIMD/\n          \
              compiler overhead) or starves a rank of cores\n  \
              CL081   [lane sweep] degenerate lane plan: every group is a singleton, sweep\n          \
